@@ -59,7 +59,7 @@ from .schroeder import (
     parse,
     reverse,
 )
-from .symfunc import SymFunc, multiply, straighten_schur
+from .symfunc import SymFunc, straighten_schur
 
 __version__ = "0.1.0"
 

@@ -15,16 +15,10 @@ import time
 
 from . import harmonics, relations
 from .errors import LLTError
-from .llt import (
-    chromatic,
-    llt,
-    llt_via_orientations,
-    orientation_e_expansion,
-    orientations,
-)
+from .llt import chromatic, llt, llt_via_orientations, orientation_e_expansion
 from .partitions import partitions_of
 from .relations import recursion_evaluate
-from .schroeder import enumerate_paths, graph, parse
+from .schroeder import area, enumerate_paths, graph, parse
 from .schur import elw_schur, kostka_schur
 from .symfunc import SymFunc
 
@@ -94,10 +88,15 @@ def _expand_by_method(path, method: str) -> SymFunc:
     return recursion_evaluate(path)
 
 
+def _check_size(n: int, args) -> None:
+    """Refuse a size above the --unsafe-max-n limit before any work starts."""
+    if n > args.unsafe_max_n:
+        raise LLTError(f"size {n} exceeds the limit; raise --unsafe-max-n")
+
+
 def _cmd_expand(args, started):
     path = parse(args.word)
-    if path.size > args.unsafe_max_n:
-        raise LLTError(f"size {path.size} exceeds the limit; raise --unsafe-max-n")
+    _check_size(path.size, args)
     f = _expand_by_method(path, args.method).convert(args.basis)
     if args.shift_q:
         f = f.shift_q(args.shift_q)
@@ -110,7 +109,7 @@ def _cmd_expand(args, started):
                 str(list(lam)): str(llt(path).coeffs.get(lam, 0))
                 for lam in partitions_of(path.size)
             },
-            "orientations": len(orientations(path)),
+            "orientations": 2 ** area(path),
         }
     _emit(
         args,
@@ -130,6 +129,7 @@ def _cmd_expand(args, started):
 
 
 def _cmd_equality(args, started):
+    _check_size(args.max_n, args)
     failures = []
     total = 0
     for n in range(1, args.max_n + 1):
@@ -161,6 +161,7 @@ def _cmd_equality(args, started):
 
 
 def _cmd_verify(args, started):
+    _check_size(args.max_n, args)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.suite == "all":
         names.remove("extended")  # optional wider scope, run only when asked

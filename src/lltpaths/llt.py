@@ -1,13 +1,30 @@
 """Colorings and orientations of decorated unit-interval graphs.
 
-Two combinatorial models live here.  The coloring model sums
-q^{asc(kappa)} x_kappa over all vertex colorings that strictly increase
-along strict edges, giving the vertical-strip polynomial of a path in
-the monomial basis.  The orientation model sums q^{asc(theta)}
-e_{lambda(theta)} over all orientations whose restriction to the strict
-edges points low-to-high; substituting q -> q-1 in that sum recovers the
-same symmetric function, which is the identity the verification suites
-exercise on exhaustive small instances.
+Two combinatorial models live here, each enumerated by one kernel.
+
+Colorings.  ``coloring_backtrack`` colours vertices 1..n in order and
+prunes by the rule that each edge to a lower neighbour u carries:
+
+* STRICT: the colour must rise from u's, and that is not an ascent;
+* FREE: any colour, an ascent when it rises;
+* PROPER: the colour must differ, an ascent when it rises.
+
+A content vector caps the number of vertices of each colour, and a leaf
+callback decides what each finished coloring contributes.  ``llt`` runs
+it over the strict and free edges of the graph of a path and tallies
+q^{asc(kappa)} x_kappa, the vertical-strip polynomial in the monomial
+basis; ``chromatic`` makes every edge PROPER; ``coloring_weight_split``
+and the permutation colorings of the Schur module use other contents and
+leaves.
+
+Orientations.  An orientation is a bitmask over the non-strict edges (a
+set bit points the edge upward); ``_hrv_labels`` computes the highest
+reachable vertex of every vertex under one mask.  ``orientation_e_expansion``
+sums q^{asc(theta)} e_{lambda(theta)} over all 2^area masks, and ``hrv``
+and ``lambda_theta`` read the same labels for one explicit orientation.
+Substituting q -> q-1 in the orientation sum recovers the coloring sum,
+which is the identity the verification suites exercise on exhaustive
+small instances.
 
 All enumerations tally integer counts first and only then build exact
 coefficients, so the hot loops never touch Fraction arithmetic.  The
@@ -33,6 +50,13 @@ _CHROMATIC_CACHE: dict[str, SymFunc] = {}
 
 
 Coloring = tuple[int, ...]
+
+# Edge rules of the coloring kernel, for an edge from a lower neighbour u to v.
+# FREE and STRICT are the is_strict flags of DecoratedGraph.lower_neighbors(),
+# so its lists feed the kernel unchanged.
+FREE = False  # any colours; an ascent when kappa(u) < kappa(v)
+STRICT = True  # kappa(u) < kappa(v) required; never an ascent
+PROPER = 2  # kappa(u) != kappa(v) required; an ascent when kappa(u) < kappa(v)
 
 
 @dataclass(frozen=True)
@@ -73,43 +97,69 @@ def swap_coloring(g: DecoratedGraph, kappa: Coloring, x: int, y: int) -> Colorin
     return tuple(out)
 
 
-def _ascent_tally_by_content(g: DecoratedGraph, content: tuple[int, ...]) -> dict[int, int]:
-    """Count colorings with exactly content[i] vertices of color i+1, by ascent number.
+def coloring_backtrack(lower, content: tuple[int, ...], leaf) -> None:
+    """Call leaf(colors, asc) on every coloring of vertices 1..n that obeys the edge rules.
 
-    Backtracks over vertices in increasing order; strict-edge violations
-    prune immediately, ascents accumulate incrementally.
+    lower[v] lists (u, rule) for each neighbour u < v of v.  content[i] caps
+    the number of vertices of colour i+1, so a content summing to n is
+    exact.  Vertices are coloured in increasing order: a rule violation
+    prunes at once and ascents accumulate as the search descends.
+    colors[v] is the colour of v (colors[0] is unused); the list is reused,
+    so a leaf that keeps it must copy it.
     """
-    lower = g.lower_neighbors()
+    n = len(lower) - 1
     remaining = list(content)
-    ncolors = len(content)
-    tally: dict[int, int] = {}
+    palette = range(1, len(content) + 1)
+    colors = [0] * (n + 1)
 
     def rec(v: int, asc: int) -> None:
-        if v > g.n:
-            tally[asc] = tally.get(asc, 0) + 1
+        if v > n:
+            leaf(colors, asc)
             return
-        for color in range(1, ncolors + 1):
-            if remaining[color - 1] == 0:
+        for color in palette:
+            if not remaining[color - 1]:
                 continue
             add = 0
-            ok = True
-            for (u, is_strict) in lower[v]:
-                if is_strict:
-                    if not colors[u] < color:
-                        ok = False
-                        break
-                elif colors[u] < color:
-                    add += 1
-            if not ok:
-                continue
-            colors[v] = color
-            remaining[color - 1] -= 1
-            rec(v + 1, asc + add)
-            remaining[color - 1] += 1
+            for (u, rule) in lower[v]:
+                c = colors[u]
+                if c < color:
+                    if rule != STRICT:
+                        add += 1
+                elif rule == STRICT or (rule == PROPER and c == color):
+                    break
+            else:
+                colors[v] = color
+                remaining[color - 1] -= 1
+                rec(v + 1, asc + add)
+                remaining[color - 1] += 1
 
-    colors = [0] * (g.n + 1)
     rec(1, 0)
+
+
+def _ascent_tally(lower, content: tuple[int, ...]) -> dict[int, int]:
+    """Number of colorings of the given content, by ascent number."""
+    tally: dict[int, int] = {}
+
+    def leaf(colors, asc):
+        tally[asc] = tally.get(asc, 0) + 1
+
+    coloring_backtrack(lower, content, leaf)
     return tally
+
+
+def _q_poly(tally: dict[int, int]) -> CoeffQT:
+    """The polynomial sum of count * q^exponent over an integer tally."""
+    return CoeffQT({(a, 0): c for a, c in tally.items()})
+
+
+def _m_expansion(lower, n: int) -> SymFunc:
+    """The coloring sum in the m-basis: m_lam collects the colorings of content lam."""
+    coeffs = {}
+    for lam in partitions_of(n):
+        tally = _ascent_tally(lower, lam)
+        if tally:
+            coeffs[lam] = _q_poly(tally)
+    return SymFunc("m", coeffs)
 
 
 def llt(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
@@ -126,13 +176,7 @@ def llt(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     n = path.size
     if n > bound:
         raise BoundExceeded(f"llt on size {n} exceeds bound {bound}")
-    g = graph(path)
-    coeffs = {}
-    for lam in partitions_of(n):
-        tally = _ascent_tally_by_content(g, lam)
-        if tally:
-            coeffs[lam] = CoeffQT({(a, 0): c for a, c in tally.items()})
-    out = SymFunc("m", coeffs)
+    out = _m_expansion(graph(path).lower_neighbors(), n)
     _LLT_CACHE[path.word] = out
     return out
 
@@ -143,8 +187,7 @@ def content_coefficient(path: SchroederPath, content: tuple[int, ...]) -> CoeffQ
     Accepts arbitrary compositions, which makes the symmetry of the
     coloring sum directly testable.
     """
-    tally = _ascent_tally_by_content(graph(path), content)
-    return CoeffQT({(a, 0): c for a, c in tally.items()})
+    return _q_poly(_ascent_tally(graph(path).lower_neighbors(), content))
 
 
 def orientations(path: SchroederPath, area_bound: int = AREA_BOUND) -> list[Orientation]:
@@ -170,35 +213,65 @@ def asc_orientation(g: DecoratedGraph, theta: Orientation) -> int:
     )
 
 
+def _upward_edges(g: DecoratedGraph):
+    """The non-strict edges, and per vertex its strict heads and (bit, head) non-strict pairs.
+
+    Bit i of an orientation mask stands for the i-th non-strict edge, set
+    when that edge points upward (is ascending).
+    """
+    free = g.nonstrict_edges()
+    strict_up: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for (x, y) in g.strict:
+        strict_up[x].append(y)
+    free_up: list[list[tuple[int, int]]] = [[] for _ in range(g.n + 1)]
+    for i, (x, y) in enumerate(free):
+        free_up[x].append((1 << i, y))
+    return free, strict_up, free_up
+
+
+def _hrv_labels(strict_up, free_up, mask: int) -> list[int]:
+    """best[v]: the highest vertex reachable from v along upward edges under the mask.
+
+    Upward edges are the strict ones and the non-strict ones whose bit is
+    set; every upward edge leads to a higher vertex, so one downward sweep
+    settles all labels.
+    """
+    best = list(range(len(strict_up)))
+    for v in range(len(strict_up) - 1, 0, -1):
+        b = v
+        for w in strict_up[v]:
+            if best[w] > b:
+                b = best[w]
+        for bit, w in free_up[v]:
+            if mask & bit and best[w] > b:
+                b = best[w]
+        best[v] = b
+    return best
+
+
+def _block_sizes(best) -> tuple[int, ...]:
+    """lambda: sizes of the classes of vertices 1..n with equal labels, sorted decreasingly."""
+    sizes: dict[int, int] = {}
+    for b in best[1:]:
+        sizes[b] = sizes.get(b, 0) + 1
+    return tuple(sorted(sizes.values(), reverse=True))
+
+
+def _theta_labels(g: DecoratedGraph, theta: Orientation) -> list[int]:
+    """The labels of one explicit orientation, through its mask."""
+    free, strict_up, free_up = _upward_edges(g)
+    mask = sum(1 << i for i, edge in enumerate(free) if edge in theta.directed)
+    return _hrv_labels(strict_up, free_up, mask)
+
+
 def hrv(g: DecoratedGraph, theta: Orientation, u: int) -> int:
     """Highest vertex reachable from u along strict and ascending edges."""
-    up: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for (a, b) in theta.directed:
-        if a < b:  # strict edges and ascending edges both point upward
-            up[a].append(b)
-    best = list(range(g.n + 1))
-    for v in range(g.n, 0, -1):
-        for w in up[v]:
-            if best[w] > best[v]:
-                best[v] = best[w]
-    return best[u]
+    return _theta_labels(g, theta)[u]
 
 
 def lambda_theta(g: DecoratedGraph, theta: Orientation) -> tuple[int, ...]:
     """Block sizes of the highest-reachable-vertex partition, sorted decreasingly."""
-    up: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for (a, b) in theta.directed:
-        if a < b:
-            up[a].append(b)
-    best = list(range(g.n + 1))
-    for v in range(g.n, 0, -1):
-        for w in up[v]:
-            if best[w] > best[v]:
-                best[v] = best[w]
-    sizes: dict[int, int] = {}
-    for v in range(1, g.n + 1):
-        sizes[best[v]] = sizes.get(best[v], 0) + 1
-    return tuple(sorted(sizes.values(), reverse=True))
+    return _block_sizes(_theta_labels(g, theta))
 
 
 def _orientation_tally(path: SchroederPath, area_bound: int = AREA_BOUND) -> dict[tuple[int, ...], dict[int, int]]:
@@ -207,37 +280,21 @@ def _orientation_tally(path: SchroederPath, area_bound: int = AREA_BOUND) -> dic
     The bitmask enumeration over non-strict edges is the hot loop of the
     whole package; everything here is small ints.
     """
-    g = graph(path)
-    n = g.n
-    free = g.nonstrict_edges()
+    free, strict_up, free_up = _upward_edges(graph(path))
     if len(free) > area_bound:
         raise BoundExceeded(f"area {len(free)} exceeds bound {area_bound}")
-    strict_up = [[] for _ in range(n + 1)]
-    for (x, y) in g.strict:
-        strict_up[x].append(y)
-    free_up = [[] for _ in range(n + 1)]
-    for i, (x, y) in enumerate(free):
-        free_up[x].append((1 << i, y))
-    tally: dict[tuple[int, ...], dict[int, int]] = {}
-    vertex_order = list(range(n, 0, -1))
+    by_labels: dict[tuple[int, ...], dict[int, int]] = {}
     for mask in range(1 << len(free)):
-        best = list(range(n + 1))
-        for v in vertex_order:
-            b = v
-            for w in strict_up[v]:
-                if best[w] > b:
-                    b = best[w]
-            for bit, w in free_up[v]:
-                if mask & bit and best[w] > b:
-                    b = best[w]
-            best[v] = b
-        sizes: dict[int, int] = {}
-        for v in range(1, n + 1):
-            sizes[best[v]] = sizes.get(best[v], 0) + 1
-        lam = tuple(sorted(sizes.values(), reverse=True))
+        labels = tuple(_hrv_labels(strict_up, free_up, mask))
         asc = bin(mask).count("1")
-        inner = tally.setdefault(lam, {})
+        inner = by_labels.setdefault(labels, {})
         inner[asc] = inner.get(asc, 0) + 1
+    # far fewer distinct label vectors than masks: reduce them to lambda once each
+    tally: dict[tuple[int, ...], dict[int, int]] = {}
+    for labels, inner in by_labels.items():
+        merged = tally.setdefault(_block_sizes(labels), {})
+        for asc, count in inner.items():
+            merged[asc] = merged.get(asc, 0) + count
     return tally
 
 
@@ -251,10 +308,7 @@ def orientation_e_expansion(path: SchroederPath, area_bound: int = AREA_BOUND) -
     if cached is not None:
         return cached
     tally = _orientation_tally(path, area_bound)
-    out = SymFunc(
-        "e",
-        {lam: CoeffQT({(a, 0): c for a, c in inner.items()}) for lam, inner in tally.items()},
-    )
+    out = SymFunc("e", {lam: _q_poly(inner) for lam, inner in tally.items()})
     _ORIENT_CACHE[path.word] = out
     return out
 
@@ -278,41 +332,8 @@ def chromatic(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     n = path.size
     if n > bound:
         raise BoundExceeded(f"chromatic on size {n} exceeds bound {bound}")
-    g = graph(path)
-    lower = g.lower_neighbors()
-    coeffs = {}
-    for lam in partitions_of(n):
-        remaining = list(lam)
-        ncolors = len(lam)
-        tally: dict[int, int] = {}
-        colors = [0] * (n + 1)
-
-        def rec(v: int, asc: int) -> None:
-            if v > n:
-                tally[asc] = tally.get(asc, 0) + 1
-                return
-            for color in range(1, ncolors + 1):
-                if remaining[color - 1] == 0:
-                    continue
-                add = 0
-                ok = True
-                for (u, _strict) in lower[v]:
-                    if colors[u] == color:
-                        ok = False
-                        break
-                    if colors[u] < color:
-                        add += 1
-                if not ok:
-                    continue
-                colors[v] = color
-                remaining[color - 1] -= 1
-                rec(v + 1, asc + add)
-                remaining[color - 1] += 1
-
-        rec(1, 0)
-        if tally:
-            coeffs[lam] = CoeffQT({(a, 0): c for a, c in tally.items()})
-    out = SymFunc("m", coeffs)
+    lower = [[(u, PROPER) for (u, _) in nbrs] for nbrs in graph(path).lower_neighbors()]
+    out = _m_expansion(lower, n)
     _CHROMATIC_CACHE[path.word] = out
     return out
 
@@ -324,40 +345,20 @@ def coloring_weight_split(path: SchroederPath, x: int):
     vector to the ascent tally of the colorings with kappa(x) < kappa(x+1)
     resp. kappa(x) > kappa(x+1).  Used to check the swap-map identity.
     """
-    g = graph(path)
-    n = g.n
-    lower_nb = g.lower_neighbors()
+    n = path.size
     y = x + 1
     lower: dict[tuple[int, ...], dict[int, int]] = {}
     upper: dict[tuple[int, ...], dict[int, int]] = {}
-    colors = [0] * (n + 1)
 
-    def rec(v: int, asc: int) -> None:
-        if v > n:
-            if colors[x] == colors[y]:
-                return
-            content = [0] * n
-            for u in range(1, n + 1):
-                content[colors[u] - 1] += 1
-            target = lower if colors[x] < colors[y] else upper
-            inner = target.setdefault(tuple(content), {})
-            inner[asc] = inner.get(asc, 0) + 1
+    def leaf(colors, asc):
+        if colors[x] == colors[y]:
             return
-        for color in range(1, n + 1):
-            add = 0
-            ok = True
-            for (u, is_strict) in lower_nb[v]:
-                if is_strict:
-                    if not colors[u] < color:
-                        ok = False
-                        break
-                elif colors[u] < color:
-                    add += 1
-            if not ok:
-                continue
-            colors[v] = color
-            rec(v + 1, asc + add)
-        colors[v] = 0
+        content = [0] * n
+        for c in colors[1:]:
+            content[c - 1] += 1
+        target = lower if colors[x] < colors[y] else upper
+        inner = target.setdefault(tuple(content), {})
+        inner[asc] = inner.get(asc, 0) + 1
 
-    rec(1, 0)
+    coloring_backtrack(graph(path).lower_neighbors(), (n,) * n, leaf)
     return lower, upper

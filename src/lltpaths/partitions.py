@@ -9,8 +9,6 @@ independent oracle for the Schur-function machinery elsewhere.
 
 from __future__ import annotations
 
-from math import comb
-
 from .errors import BoundExceeded, SizeMismatch
 
 Partition = tuple[int, ...]
@@ -151,20 +149,3 @@ def compositions(n: int) -> list[Composition]:
         for rest in compositions(n - first):
             out.append((first,) + rest)
     return out
-
-
-def arrangement_count(lam: Partition) -> int:
-    """Number of distinct rearrangements of the parts of lam."""
-    from math import factorial
-
-    mult: dict[int, int] = {}
-    for p in lam:
-        mult[p] = mult.get(p, 0) + 1
-    out = factorial(len(lam))
-    for m in mult.values():
-        out //= factorial(m)
-    return out
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0

@@ -105,20 +105,7 @@ def verify_unicellular(n: int, llt_fn: LltFn | None = None) -> RelationReport:
             if step != "d":
                 continue
             u, v = word[:i], word[i + 1 :]
-            report.instances += 1
-            acc = (
-                _e_value(fn, u + "ne" + v, cache)
-                - _e_value(fn, u + "en" + v, cache)
-                - _e_value(fn, word, cache).scale(Q - 1)
-            )
-            if not acc.is_zero():
-                report.failures.append(
-                    {
-                        "paths": [u + "ne" + v, u + "en" + v, word],
-                        "point": None,
-                        "discrepancy": acc,
-                    }
-                )
+            _check_instance(report, fn, cache, None, u + "ne" + v, [(ONE, u + "en" + v), (Q - 1, word)])
     return report
 
 
@@ -233,12 +220,14 @@ def sarrus_terms(u: str, v: str, w: str) -> tuple[list[str], list[str]]:
     return plus, minus
 
 
-def verify_dyck_relations(n: int, llt_fn: LltFn | None = None) -> RelationReport:
-    """The modular relation and the six-term relation on all admissible points."""
-    fn = llt_fn or llt
-    cache: dict[str, SymFunc] = {}
-    report = RelationReport("dyck")
-    for p in enumerate_paths(n):
+def _modular_sweep(report: RelationReport, fn: LltFn, cache: dict[str, SymFunc], paths: list[SchroederPath]) -> None:
+    """The modular relation and the six-term relation at every admissible point of the paths.
+
+    An instance needs a single bounce point (always the case on a Dyck
+    path) and a bounce decomposition ending in s3 s4 = ee with V ending
+    in n.
+    """
+    for p in paths:
         word = p.word
         for (x, z) in p.points():
             if not (1 <= x and x + 1 < z):
@@ -261,20 +250,17 @@ def verify_dyck_relations(n: int, llt_fn: LltFn | None = None) -> RelationReport
                     [(Q + 1, u + "nn" + v + "ene" + w), (-Q, u + "nn" + v + "een" + w)],
                 )
             if s12 == "en" and u and u[-1] == "n":
-                # six-term relation; check it and its Sarrus form agree
-                u0 = u[:-1]
-                plus, minus = sarrus_terms(u0, v, w)
+                # six-term relation in its Sarrus form: sum(plus) - sum(minus) = 0
+                plus, minus = sarrus_terms(u[:-1], v, w)
                 assert word in plus or word in minus
-                report.instances += 1
-                acc = SymFunc.zero("e")
-                for pw in plus:
-                    acc = acc + _e_value(fn, pw, cache)
-                for mw in minus:
-                    acc = acc - _e_value(fn, mw, cache)
-                if not acc.is_zero():
-                    report.failures.append(
-                        {"paths": plus + minus, "point": (x, z), "discrepancy": acc}
-                    )
+                terms = [(-ONE, pw) for pw in plus[1:]] + [(ONE, mw) for mw in minus]
+                _check_instance(report, fn, cache, (x, z), plus[0], terms)
+
+
+def verify_dyck_relations(n: int, llt_fn: LltFn | None = None) -> RelationReport:
+    """The modular relation and the six-term relation on all admissible points."""
+    report = RelationReport("dyck")
+    _modular_sweep(report, llt_fn or llt, {}, enumerate_paths(n))
     return report
 
 
@@ -294,39 +280,7 @@ def verify_chromatic_relations(n: int, llt_fn: LltFn | None = None) -> RelationR
     fn = llt_fn or chromatic
     cache: dict[str, SymFunc] = {}
     report = RelationReport("chromatic")
-    for p in enumerate_paths(n, dyck_only=True):
-        word = p.word
-        for (x, z) in p.points():
-            if not (1 <= x and x + 1 < z):
-                continue
-            data = bounce_at(p, (x, z))
-            if data.decomposition is None:
-                continue
-            u, s12, vseg, s34, w = data.decomposition
-            if s34 != "ee" or not vseg or vseg[-1] != "n":
-                continue
-            v = vseg[:-1]
-            if s12 == "nn":
-                _check_instance(
-                    report,
-                    fn,
-                    cache,
-                    (x, z),
-                    u + "nn" + v + "nee" + w,
-                    [(Q + 1, u + "nn" + v + "ene" + w), (-Q, u + "nn" + v + "een" + w)],
-                )
-            if s12 == "en" and u and u[-1] == "n":
-                plus, minus = sarrus_terms(u[:-1], v, w)
-                report.instances += 1
-                acc = SymFunc.zero("e")
-                for pw in plus:
-                    acc = acc + _e_value(fn, pw, cache)
-                for mw in minus:
-                    acc = acc - _e_value(fn, mw, cache)
-                if not acc.is_zero():
-                    report.failures.append(
-                        {"paths": plus + minus, "point": (x, z), "discrepancy": acc}
-                    )
+    _modular_sweep(report, fn, cache, enumerate_paths(n, dyck_only=True))
     # multiplicativity on concatenations
     for k in range(1, n):
         for left in enumerate_paths(k, dyck_only=True):

@@ -136,12 +136,6 @@ class DecoratedGraph:
         """Non-strict edges in column-major order (sorted by (x, y))."""
         return sorted(self.edges - self.strict)
 
-    def strict_up(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for (x, y) in self.strict:
-            out[x].append(y)
-        return out
-
     def to_obj(self) -> dict:
         return {
             "n": self.n,
@@ -206,11 +200,6 @@ def enumerate_paths(n: int, dyck_only: bool = False, bound: int = ENUMERATION_BO
 
     rec([], 0, 0)
     return [SchroederPath(w) for w in sorted(words)]
-
-
-def schroeder_count(n: int) -> int:
-    """Number of Schroeder paths of size n (1, 3, 11, 45, 197, ...)."""
-    return len(enumerate_paths(n))
 
 
 _REVERSE_MAP = {"n": "e", "e": "n", "d": "d"}

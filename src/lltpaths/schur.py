@@ -4,11 +4,15 @@ The first route sums straightened Schur functions over permutation
 colorings: a coloring whose values form a permutation sigma contributes
 q^{asc(sigma)} s_{alpha(sigma)}, where alpha(sigma) is the composition
 cut out by the inverse ascent set {i : position of i < position of i+1}
-and s_alpha is straightened by the Jacobi-Trudi rule.
+and s_alpha is straightened by the Jacobi-Trudi rule.  The permutations
+and their ascents come from the coloring kernel of the llt module, run
+with content (1, ..., 1).
 
-The second route runs over orientations: the coefficient of s_mu is the
-sum of (q-1)^{asc(theta)} K_{mu', lambda(theta)} with Kostka numbers
-from the tableau-enumeration oracle.
+The second route runs over orientations: the e-coefficients of
+``llt_via_orientations`` are the sums of (q-1)^{asc(theta)} over the
+orientations with lambda(theta) = lambda, and e_lambda is the sum of
+K_{mu', lambda} s_mu with Kostka numbers from the tableau-enumeration
+oracle.
 
 Both must agree with the coloring polynomial converted to the Schur
 basis; that triple agreement is an acceptance criterion.
@@ -18,12 +22,23 @@ from __future__ import annotations
 
 from .coeffring import CoeffQT
 from .errors import BoundExceeded
-from .llt import _orientation_tally
+from .llt import coloring_backtrack, llt_via_orientations
 from .partitions import conjugate, kostka, partitions_of
 from .schroeder import SchroederPath, graph
 from .symfunc import SymFunc, straighten_schur
 
 SIZE_BOUND = 7
+
+
+def _permutations_with_ascents(path: SchroederPath) -> list[tuple[tuple[int, ...], int]]:
+    """(sigma, asc(sigma)) for every coloring of the graph of P that is a permutation of [n]."""
+    out: list[tuple[tuple[int, ...], int]] = []
+
+    def leaf(sigma, asc):
+        out.append((tuple(sigma[1:]), asc))
+
+    coloring_backtrack(graph(path).lower_neighbors(), (1,) * path.size, leaf)
+    return out
 
 
 def permutation_colorings(path: SchroederPath) -> list[tuple[int, ...]]:
@@ -32,35 +47,7 @@ def permutation_colorings(path: SchroederPath) -> list[tuple[int, ...]]:
     Enumerated by backtracking over vertices with the strict-edge
     constraints pruning, rather than filtering all of S_n.
     """
-    g = graph(path)
-    n = g.n
-    lower = g.lower_neighbors()
-    used = [False] * (n + 1)
-    sigma = [0] * (n + 1)
-    out: list[tuple[int, ...]] = []
-
-    def rec(v: int) -> None:
-        if v > n:
-            out.append(tuple(sigma[1:]))
-            return
-        for value in range(1, n + 1):
-            if used[value]:
-                continue
-            ok = True
-            for (u, is_strict) in lower[v]:
-                if is_strict and not sigma[u] < value:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            used[value] = True
-            sigma[v] = value
-            rec(v + 1)
-            used[value] = False
-        sigma[v] = 0
-
-    rec(1)
-    return out
+    return [sigma for sigma, _ in _permutations_with_ascents(path)]
 
 
 def inverse_ascent_set(sigma: tuple[int, ...]) -> set[int]:
@@ -82,27 +69,18 @@ def alpha_of_sigma(sigma: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _asc_of_permutation(g, sigma: tuple[int, ...]) -> int:
-    return sum(
-        1
-        for (x, y) in g.edges
-        if (x, y) not in g.strict and sigma[x - 1] < sigma[y - 1]
-    )
-
-
 def elw_schur(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     """Signed Schur expansion through permutation colorings and straightening."""
     n = path.size
     if n > bound:
         raise BoundExceeded(f"size {n} exceeds bound {bound}")
-    g = graph(path)
     coeffs: dict[tuple[int, ...], CoeffQT] = {}
-    for sigma in permutation_colorings(path):
+    for sigma, asc in _permutations_with_ascents(path):
         straightened = straighten_schur(alpha_of_sigma(sigma))
         if straightened is None:
             continue
         sign, lam = straightened
-        term = CoeffQT.monomial(_asc_of_permutation(g, sigma), 0, sign)
+        term = CoeffQT.monomial(asc, 0, sign)
         s = coeffs.get(lam, CoeffQT.zero()) + term
         if s.is_zero():
             coeffs.pop(lam, None)
@@ -116,13 +94,8 @@ def kostka_schur(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     n = path.size
     if n > bound:
         raise BoundExceeded(f"size {n} exceeds bound {bound}")
-    tally = _orientation_tally(path)
-    qm1 = CoeffQT.q() - 1
     coeffs: dict[tuple[int, ...], CoeffQT] = {}
-    for lam, by_asc in tally.items():
-        weight = CoeffQT.zero()
-        for asc, count in by_asc.items():
-            weight = weight + (qm1 ** asc) * count
+    for lam, weight in llt_via_orientations(path).coeffs.items():
         for mu in partitions_of(n):
             k = kostka(conjugate(mu), lam)
             if k:

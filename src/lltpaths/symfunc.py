@@ -490,8 +490,3 @@ def straighten_schur(alpha: Iterable[int]):
     while lam and lam[-1] == 0:
         lam.pop()
     return sign, tuple(lam)
-
-
-def multiply(f: SymFunc, g: SymFunc) -> SymFunc:
-    """Product of two symmetric functions, in f's basis."""
-    return f * g

@@ -137,3 +137,18 @@ def test_size_guard_override(capsys):
 def test_threads_flag_accepted(capsys):
     code, out = run(capsys, "paths", "3", "--threads", "2")
     assert code == 0 and out.strip() == "11"
+
+
+def test_expand_witness_counts_orientations_without_enumerating(capsys):
+    # area 19: enumerating the 2^19 orientations would cost gigabytes
+    code, out = run(capsys, "expand", "nnnnnnedeeeee", "--json", "--witness")
+    assert code == 0
+    assert json.loads(out)["result"]["witness"]["orientations"] == 2**19
+
+
+@pytest.mark.parametrize("command", ["verify", "equality"])
+def test_sweep_above_the_limit_is_refused_before_work(capsys, command):
+    code = main([command, "--max-n", "8"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "exceeds the limit" in captured.err

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from lltpaths.coeffring import CoeffQT
@@ -19,6 +21,7 @@ from lltpaths.llt import (
 )
 from lltpaths.partitions import partitions_of
 from lltpaths.schroeder import area, bounce_at, enumerate_paths, graph, parse, reverse
+from lltpaths.symfunc import SymFunc
 
 Q = CoeffQT.q()
 ONE = CoeffQT.one()
@@ -229,3 +232,62 @@ def test_symmetry_self_check():
                 assert content_coefficient(p, lam) == content_coefficient(
                     p, tuple(reversed(lam))
                 ), (p.word, lam)
+
+
+def _brute_force_tally(p, keep):
+    """Ascent polynomial of every coloring in [n]^n that keep() accepts, by content vector."""
+    g = graph(p)
+    n = p.size
+    out: dict[tuple[int, ...], CoeffQT] = {}
+    for kappa in itertools.product(range(1, n + 1), repeat=n):
+        if not keep(g, kappa):
+            continue
+        try:
+            asc = asc_coloring(g, kappa)
+        except InvalidColoring:
+            continue
+        content = tuple(kappa.count(c) for c in range(1, n + 1))
+        out[content] = out.get(content, CoeffQT.zero()) + Q ** asc
+    return out
+
+
+def _assert_matches_m_expansion(tally, f, word):
+    # a symmetric function has the same coefficient at every rearrangement
+    # of a content, so each brute-force content must match its sorted form
+    for content, poly in tally.items():
+        lam = tuple(sorted((c for c in content if c), reverse=True))
+        assert f.coeffs.get(lam) == poly, (word, content)
+    canonical = {lam for lam in f.coeffs}
+    seen = {tuple(c for c in content if c) for content in tally}
+    assert canonical <= seen, word
+
+
+def test_llt_matches_brute_force_colorings():
+    for n in range(1, 5):
+        for p in enumerate_paths(n):
+            tally = _brute_force_tally(p, lambda g, kappa: True)
+            _assert_matches_m_expansion(tally, llt(p), p.word)
+
+
+def test_chromatic_matches_brute_force_proper_colorings():
+    def proper(g, kappa):
+        return all(kappa[x - 1] != kappa[y - 1] for (x, y) in g.edges)
+
+    for n in range(1, 5):
+        for p in enumerate_paths(n, dyck_only=True):
+            tally = _brute_force_tally(p, proper)
+            _assert_matches_m_expansion(tally, chromatic(p), p.word)
+
+
+def test_orientation_sum_matches_explicit_orientations():
+    for n in range(1, 6):
+        for p in enumerate_paths(n):
+            g = graph(p)
+            total = SymFunc.zero("e")
+            for theta in orientations(p):
+                lam = lambda_theta(g, theta)
+                labels = [hrv(g, theta, u) for u in range(1, n + 1)]
+                sizes = sorted((labels.count(b) for b in set(labels)), reverse=True)
+                assert tuple(sizes) == lam, (p.word, theta)
+                total = total + SymFunc.basis_element("e", lam, Q ** asc_orientation(g, theta))
+            assert total == orientation_e_expansion(p), p.word
