@@ -34,6 +34,7 @@ module-level caches are keyed by path word; inserts are idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .coeffring import CoeffQT
 from .errors import BoundExceeded, HasDiagonal, InvalidColoring
@@ -97,7 +98,9 @@ def swap_coloring(g: DecoratedGraph, kappa: Coloring, x: int, y: int) -> Colorin
     return tuple(out)
 
 
-def coloring_backtrack(lower, content: tuple[int, ...], leaf) -> None:
+def coloring_backtrack(
+    lower: list[list[tuple[int, int]]], content: tuple[int, ...], leaf: Callable[[list[int], int], None]
+) -> None:
     """Call leaf(colors, asc) on every coloring of vertices 1..n that obeys the edge rules.
 
     lower[v] lists (u, rule) for each neighbour u < v of v.  content[i] caps

@@ -279,15 +279,27 @@ def test_chromatic_matches_brute_force_proper_colorings():
             _assert_matches_m_expansion(tally, chromatic(p), p.word)
 
 
+def _highest_reachable(theta, u):
+    """Largest vertex reachable from u along the upward edges of theta, by graph search."""
+    seen, stack = {u}, [u]
+    while stack:
+        a = stack.pop()
+        for (x, y) in theta.directed:
+            if x == a and x < y and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return max(seen)
+
+
 def test_orientation_sum_matches_explicit_orientations():
     for n in range(1, 6):
         for p in enumerate_paths(n):
             g = graph(p)
             total = SymFunc.zero("e")
             for theta in orientations(p):
-                lam = lambda_theta(g, theta)
-                labels = [hrv(g, theta, u) for u in range(1, n + 1)]
-                sizes = sorted((labels.count(b) for b in set(labels)), reverse=True)
-                assert tuple(sizes) == lam, (p.word, theta)
+                labels = [_highest_reachable(theta, u) for u in range(1, n + 1)]
+                assert [hrv(g, theta, u) for u in range(1, n + 1)] == labels, (p.word, theta)
+                lam = tuple(sorted((labels.count(b) for b in set(labels)), reverse=True))
+                assert lambda_theta(g, theta) == lam, (p.word, theta)
                 total = total + SymFunc.basis_element("e", lam, Q ** asc_orientation(g, theta))
             assert total == orientation_e_expansion(p), p.word
