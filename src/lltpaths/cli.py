@@ -80,12 +80,13 @@ def _cmd_paths(args, started):
     return 0
 
 
-def _expand_by_method(path, method: str) -> SymFunc:
+def _expand_by_method(path, method: str, bound: int) -> SymFunc:
+    """Expand by the chosen route; `bound` is the --unsafe-max-n size limit."""
     if method == "colorings":
-        return llt(path)
+        return llt(path, bound=bound)
     if method == "orientations":
         return llt_via_orientations(path)
-    return recursion_evaluate(path)
+    return recursion_evaluate(path, bound=bound)
 
 
 def _check_size(n: int, args) -> None:
@@ -97,7 +98,7 @@ def _check_size(n: int, args) -> None:
 def _cmd_expand(args, started):
     path = parse(args.word)
     _check_size(path.size, args)
-    f = _expand_by_method(path, args.method).convert(args.basis)
+    f = _expand_by_method(path, args.method, args.unsafe_max_n).convert(args.basis)
     if args.shift_q:
         f = f.shift_q(args.shift_q)
     witness = None
@@ -106,7 +107,7 @@ def _cmd_expand(args, started):
         witness = {
             "graph": g.to_obj(),
             "colorings_by_content": {
-                str(list(lam)): str(llt(path).coeffs.get(lam, 0))
+                str(list(lam)): str(llt(path, bound=args.unsafe_max_n).coeffs.get(lam, 0))
                 for lam in partitions_of(path.size)
             },
             "orientations": 2 ** area(path),

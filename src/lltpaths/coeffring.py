@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: Laurent polynomials in q and t over Fraction.
+"""Exact scalar arithmetic: Laurent polynomials in q and t with rational coefficients.
 
 Every coefficient appearing in this package is an element of
 Z[q^{-1}, q, t^{-1}, t] tensored with Q.  Working in this ring (rather
@@ -6,8 +6,13 @@ than in a field of rational functions) keeps all arithmetic exact and
 turns a division that *should* cancel but does not into a loud
 `NotDivisible` error.
 
-Values are canonical: a term map never stores a zero coefficient, so two
-values are equal iff their maps are equal.  All operations return new
+Almost every value the package computes has integer coefficients, so a
+coefficient is stored as a plain `int` and becomes a `Fraction` only when
+it is not integral (the 1/z_lambda of the power-sum basis, a quotient from
+`exact_div`).  Values are canonical: a term map never stores a zero
+coefficient, an integral coefficient is always an `int` and any other is a
+reduced `Fraction` with denominator > 1, so two values are equal iff their
+maps are equal.  No coefficient is ever a float.  All operations return new
 objects; nothing mutates in place.
 """
 
@@ -20,26 +25,54 @@ from typing import Iterator, Mapping, Tuple, Union
 from .errors import NegativeExponentShift, NotDivisible
 
 Exponents = Tuple[int, int]
+Rational = Union[int, Fraction]
 Scalar = Union[int, Fraction, "CoeffQT"]
+
+
+def _canon(v: Rational) -> Rational:
+    """v as an int when it is integral, else unchanged (a reduced Fraction)."""
+    if v.__class__ is int or v.denominator != 1:
+        return v
+    return v.numerator
+
+
+def _div(a: Rational, b: Rational) -> Rational:
+    """The exact quotient a / b in canonical form; int / int never gives a float."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _canon(Fraction(a, b))
+
+
+def _canon_values(terms: dict) -> dict:
+    """Turn every integral Fraction among the values into an int, in place."""
+    for k, v in terms.items():
+        if v.__class__ is not int and v.denominator == 1:
+            terms[k] = v.numerator
+    return terms
 
 
 class CoeffQT:
     """A Laurent polynomial in the formal variables q and t.
 
-    The term map sends (q_exponent, t_exponent) to a nonzero Fraction.
-    Fractions are kept reduced with positive denominator (the `fractions`
-    module guarantees this).
+    The term map sends (q_exponent, t_exponent) to a nonzero coefficient:
+    an `int` when it is integral, otherwise a `Fraction` with denominator
+    > 1 (kept reduced with positive denominator by the `fractions` module).
+    The constructor accepts any rational value and stores its canonical
+    form, so `CoeffQT({(0, 0): Fraction(4, 2)}) == CoeffQT({(0, 0): 2})`.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Exponents, Union[int, Fraction]] | None = None):
-        clean: dict[Exponents, Fraction] = {}
+    def __init__(self, terms: Mapping[Exponents, Rational] | None = None):
+        clean: dict[Exponents, Rational] = {}
         if terms:
             for (eq, et), v in terms.items():
-                f = Fraction(v)
-                if f:
-                    clean[(int(eq), int(et))] = f
+                if v.__class__ is not int:
+                    v = _canon(Fraction(v))
+                if v:
+                    clean[(int(eq), int(et))] = v
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -53,12 +86,12 @@ class CoeffQT:
         return cls({(0, 0): 1})
 
     @classmethod
-    def from_rational(cls, v: Union[int, Fraction]) -> "CoeffQT":
-        return cls({(0, 0): Fraction(v)})
+    def from_rational(cls, v: Rational) -> "CoeffQT":
+        return cls({(0, 0): v})
 
     @classmethod
-    def monomial(cls, q_exp: int = 0, t_exp: int = 0, coeff: Union[int, Fraction] = 1) -> "CoeffQT":
-        return cls({(q_exp, t_exp): Fraction(coeff)})
+    def monomial(cls, q_exp: int = 0, t_exp: int = 0, coeff: Rational = 1) -> "CoeffQT":
+        return cls({(q_exp, t_exp): coeff})
 
     @classmethod
     def q(cls, exp: int = 1) -> "CoeffQT":
@@ -74,7 +107,7 @@ class CoeffQT:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0, 0): Fraction(1)}
+        return self.terms == {(0, 0): 1}
 
     def is_nonneg(self) -> bool:
         """True iff every rational coefficient is >= 0."""
@@ -107,7 +140,8 @@ class CoeffQT:
         for k, v in o.terms.items():
             s = out.get(k, 0) + v
             if s:
-                out[k] = s
+                # canonical form: an integral Fraction is stored as its int
+                out[k] = s if s.__class__ is int or s.denominator != 1 else s.numerator
             else:
                 out.pop(k, None)
         res = CoeffQT.__new__(CoeffQT)
@@ -137,13 +171,13 @@ class CoeffQT:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Rational] = {}
         for (aq, at), av in self.terms.items():
             for (bq, bt), bv in o.terms.items():
                 k = (aq + bq, at + bt)
                 s = out.get(k, 0) + av * bv
                 if s:
-                    out[k] = s
+                    out[k] = s if s.__class__ is int or s.denominator != 1 else s.numerator
                 else:
                     out.pop(k, None)
         res = CoeffQT.__new__(CoeffQT)
@@ -199,14 +233,14 @@ class CoeffQT:
         div = {(eq - bq, et - bt): v for (eq, et), v in other.terms.items()}
         dlead = max(div)
         dlc = div[dlead]
-        quot: dict[Exponents, Fraction] = {}
+        quot: dict[Exponents, Rational] = {}
         while rem:
             rlead = max(rem)
             kq = rlead[0] - dlead[0]
             kt = rlead[1] - dlead[1]
             if kq < 0 or kt < 0:
                 raise NotDivisible(f"{self} is not divisible by {other}")
-            c = rem[rlead] / dlc
+            c = _div(rem[rlead], dlc)
             quot[(kq, kt)] = c
             for (eq, et), v in div.items():
                 k = (eq + kq, et + kt)
@@ -221,7 +255,7 @@ class CoeffQT:
         """Substitute q -> q + c, expanding binomially; t is untouched."""
         if c == 0:
             return self
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Rational] = {}
         for (eq, et), v in self.terms.items():
             if eq < 0:
                 raise NegativeExponentShift(
@@ -235,7 +269,7 @@ class CoeffQT:
                 else:
                     out.pop(key, None)
         res = CoeffQT.__new__(CoeffQT)
-        res.terms = out
+        res.terms = _canon_values(out)
         return res
 
     def subst_q_reciprocal(self) -> "CoeffQT":
@@ -246,15 +280,15 @@ class CoeffQT:
         """Exchange the roles of q and t."""
         return CoeffQT({(et, eq): v for (eq, et), v in self.terms.items()})
 
-    def specialize_q(self, value: Union[int, Fraction]) -> "CoeffQT":
+    def specialize_q(self, value: Rational) -> "CoeffQT":
         """Evaluate at q = value, leaving t formal."""
-        value = Fraction(value)
-        out: dict[Exponents, Fraction] = {}
+        value = _canon(Fraction(value))
+        out: dict[Exponents, Rational] = {}
         for (eq, et), v in self.terms.items():
             if eq < 0:
                 if value == 0:
                     raise ZeroDivisionError("q = 0 on a negative q-exponent")
-                w = v / value ** (-eq)
+                w = _div(v, value ** (-eq))
             else:
                 w = v * value ** eq
             key = (0, et)
@@ -264,7 +298,7 @@ class CoeffQT:
             else:
                 out.pop(key, None)
         res = CoeffQT.__new__(CoeffQT)
-        res.terms = out
+        res.terms = _canon_values(out)
         return res
 
     # -- serialization and display ------------------------------------------
@@ -280,13 +314,13 @@ class CoeffQT:
     def from_obj(cls, obj: list[dict]) -> "CoeffQT":
         return cls(
             {
-                (int(o["q"]), int(o["t"])): Fraction(int(o["num"]), int(o["den"]))
+                (int(o["q"]), int(o["t"])): _div(int(o["num"]), int(o["den"]))
                 for o in obj
             }
         )
 
     @staticmethod
-    def _render_term(eq: int, et: int, v: Fraction) -> str:
+    def _render_term(eq: int, et: int, v: Rational) -> str:
         factors = []
         if v == -1 and (eq or et):
             sign = "-"
@@ -322,7 +356,7 @@ class CoeffQT:
     def __repr__(self) -> str:
         return f"CoeffQT({self})"
 
-    def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Exponents, Rational]]:
         return iter(sorted(self.terms.items()))
 
 

@@ -350,15 +350,21 @@ def recursion_evaluate(path: SchroederPath | str, bound: int = 7) -> SymFunc:
     Uses only the initial condition F(n d^k e) = e_{k+1}, multiplicativity
     at returns to the diagonal, the unicellular relation to strip a
     leading ne, and the generalized bounce relations when the first east
-    step is preceded by a diagonal step.  Memoized on path words.
+    step is preceded by a diagonal step.  Memoized on path words.  The
+    evaluator recurses; the interpreter's recursion limit is raised for
+    the call and restored afterwards.
     """
     if isinstance(path, str):
         path = parse(path)
     if path.size > bound:
         raise BoundExceeded(f"size {path.size} exceeds bound {bound}")
-    if sys.getrecursionlimit() < 4 * _EVAL_DEPTH_BOUND:
+    previous = sys.getrecursionlimit()
+    if previous < 4 * _EVAL_DEPTH_BOUND:
         sys.setrecursionlimit(4 * _EVAL_DEPTH_BOUND)
-    return _evaluate(path.word, 0)
+    try:
+        return _evaluate(path.word, 0)
+    finally:
+        sys.setrecursionlimit(previous)
 
 
 def _evaluate(word: str, depth: int) -> SymFunc:

@@ -9,8 +9,12 @@ the monomial basis with per-degree transition matrices:
     products expanded by exact monomial convolution;
   * s_mu = sum_lam K_{mu,lam} m_lam with Kostka numbers from the
     independent tableau-enumeration oracle;
-  * the reverse direction solves the (invertible) transition matrix over
-    Fraction once per degree and caches it.
+  * the reverse direction inverts the transition matrix over the
+    rationals once per degree and caches it.
+
+Every basis->m matrix is integral, and so are the inverses for e, h and
+s; matrix entries are stored as `int` where integral, so only the m->p
+inverse (the 1/z_lambda factors) carries `Fraction` entries.
 
 Degrees may be mixed inside one SymFunc; every graded slice converts
 independently.
@@ -37,7 +41,9 @@ BASES = ("m", "e", "h", "p", "s")
 ScalarLike = Union[int, Fraction, CoeffQT]
 
 _M_MUL_CACHE: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-_TRANSITION_CACHE: dict[tuple[str, int], tuple[list[Partition], list[list[Fraction]], list[list[Fraction]]]] = {}
+Rational = Union[int, Fraction]
+
+_TRANSITION_CACHE: dict[tuple[str, int], tuple[list[Partition], list[list[Rational]], list[list[Rational]]]] = {}
 
 
 def _coeff(v: ScalarLike) -> CoeffQT:
@@ -345,13 +351,13 @@ def _m_mul_pair(lam: Partition, mu: Partition) -> dict[Partition, int]:
     return out
 
 
-def _m_mul(f: dict[Partition, Fraction], g: dict[Partition, Fraction]) -> dict[Partition, Fraction]:
-    out: dict[Partition, Fraction] = {}
+def _m_mul(f: dict[Partition, int], g: dict[Partition, int]) -> dict[Partition, int]:
+    out: dict[Partition, int] = {}
     for lam, a in f.items():
         for mu, b in g.items():
             ab = a * b
             for nu, count in _m_mul_pair(lam, mu).items():
-                s = out.get(nu, Fraction(0)) + ab * count
+                s = out.get(nu, 0) + ab * count
                 if s:
                     out[nu] = s
                 else:
@@ -362,32 +368,35 @@ def _m_mul(f: dict[Partition, Fraction], g: dict[Partition, Fraction]) -> dict[P
 # -- transition matrices -------------------------------------------------------
 
 
-def _expand_in_m(basis: str, lam: Partition) -> dict[Partition, Fraction]:
-    """Monomial expansion of a single basis element b_lam (rational coefficients)."""
+def _expand_in_m(basis: str, lam: Partition) -> dict[Partition, int]:
+    """Monomial expansion of a single basis element b_lam (integer coefficients)."""
     if basis == "s":
         return {
-            mu: Fraction(kostka(lam, mu))
+            mu: kostka(lam, mu)
             for mu in partitions_of(sum(lam))
             if kostka(lam, mu)
         }
-    out: dict[Partition, Fraction] = {(): Fraction(1)}
+    out: dict[Partition, int] = {(): 1}
     for part in lam:
         if basis == "e":
-            factor = {(1,) * part: Fraction(1)}
+            factor = {(1,) * part: 1}
         elif basis == "p":
-            factor = {(part,): Fraction(1)}
+            factor = {(part,): 1}
         elif basis == "h":
-            factor = {mu: Fraction(1) for mu in partitions_of(part)}
+            factor = {mu: 1 for mu in partitions_of(part)}
         else:
             raise ValueError(basis)
         out = _m_mul(out, factor)
     return out
 
 
-def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Invert a square matrix over Fraction by Gauss-Jordan elimination."""
+def _invert(mat: list[list[Rational]]) -> list[list[Rational]]:
+    """Invert a square matrix over the rationals by Gauss-Jordan elimination.
+
+    Entries of the inverse are returned as `int` where integral.
+    """
     n = len(mat)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
@@ -399,7 +408,7 @@ def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
             if r != col and aug[r][col]:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return [[v.numerator if v.denominator == 1 else v for v in row[n:]] for row in aug]
 
 
 def _transition(basis: str, d: int):
@@ -417,7 +426,7 @@ def _transition(basis: str, d: int):
     index = {lam: i for i, lam in enumerate(parts)}
     mat = []
     for lam in parts:
-        row = [Fraction(0)] * len(parts)
+        row = [0] * len(parts)
         for mu, v in _expand_in_m(basis, lam).items():
             row[index[mu]] = v
         mat.append(row)

@@ -152,3 +152,17 @@ def test_sweep_above_the_limit_is_refused_before_work(capsys, command):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "exceeds the limit" in captured.err
+
+
+def test_expand_unsafe_max_n_reaches_the_evaluator(capsys):
+    from lltpaths.llt import llt
+    from lltpaths.schroeder import area, parse
+    from lltpaths.symfunc import SymFunc
+
+    p = parse("ndenenndeennee")
+    assert p.size == 8 and area(p) <= 3
+    code, out = run(
+        capsys, "expand", p.word, "--method", "recursion", "--basis", "e", "--unsafe-max-n", "8", "--json"
+    )
+    assert code == 0
+    assert SymFunc.from_obj(json.loads(out)["result"]) == llt(p, bound=8).convert("e")

@@ -123,3 +123,63 @@ def test_str_rendering():
     assert str(CoeffQT.zero()) == "0"
     assert str(Q * Q - 2 * Q + 1) == "q^2 - 2*q + 1"
     assert str(Q + T + Q * T) == "q*t + q + t"
+
+
+def assert_canonical(a):
+    """Every stored value is a nonzero int, or a Fraction that is not integral."""
+    for v in a.terms.values():
+        assert v != 0
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), (a, v)
+
+
+def test_exact_div_of_integers_never_gives_a_float():
+    c = (2 * Q).exact_div(CoeffQT.from_rational(3))
+    assert c.terms == {(1, 0): Fraction(2, 3)}
+    assert type(c.terms[(1, 0)]) is Fraction
+    assert (6 * Q * T).exact_div(CoeffQT.from_rational(3)).terms == {(1, 1): 2}
+    assert (Q * Q - 1).exact_div(2 * Q + 2) == CoeffQT({(1, 0): Fraction(1, 2), (0, 0): Fraction(-1, 2)})
+    # an int value of q, with a negative exponent that divides by it
+    assert (Q * Q - 3 * Q * T + 2).specialize_q(2).terms == {(0, 0): 6, (0, 1): -6}
+    assert (3 * CoeffQT.q(-2) + T).specialize_q(2).terms == {(0, 0): Fraction(3, 4), (0, 1): 1}
+    for a in (
+        c,
+        (Q * Q - 1).exact_div(2 * Q + 2),
+        (3 * CoeffQT.q(-2) + T).specialize_q(2),
+        (5 * CoeffQT.q(-1)).specialize_q(Fraction(5, 2)),
+    ):
+        assert_canonical(a)
+        assert not any(isinstance(v, float) for v in a.terms.values())
+
+
+def test_canonical_form_of_every_operation():
+    half = Fraction(1, 2)
+    assert (half * Q) * 2 == Q
+    assert ((half * Q) * 2).terms == {(1, 0): 1}
+    assert (half * Q + half * Q).terms == {(1, 0): 1}
+    assert ((half * Q) ** 2 * 4).terms == {(2, 0): 1}
+    assert (Q - half * Q).terms == {(1, 0): half}
+    rng = random.Random(77)
+    for _ in range(300):
+        a = random_poly(rng, degree=3, terms=4)
+        b = random_poly(rng, degree=3, terms=4)
+        shiftable = CoeffQT({(abs(eq), et): v for (eq, et), v in a.terms.items()})
+        results = [
+            a, a + b, a - b, -a, a * b, a**2, b**3, a + 1, 2 - a, a * 3, Fraction(2, 3) * a,
+            shiftable.shift_q(1), shiftable.shift_q(-2),
+            a.specialize_q(1), a.specialize_q(-2), a.specialize_q(Fraction(2, 3)),
+            CoeffQT.from_obj(a.to_obj()),
+        ]
+        if not b.is_zero():
+            results.append((a * b).exact_div(b))
+        for r in results:
+            assert_canonical(r)
+
+
+def test_integral_fraction_and_int_are_one_value():
+    a = CoeffQT({(0, 0): Fraction(4, 2)})
+    b = CoeffQT({(0, 0): 2})
+    assert a == b and hash(a) == hash(b)
+    assert a.to_obj() == b.to_obj() == [{"q": 0, "t": 0, "num": "2", "den": "1"}]
+    assert type(a.terms[(0, 0)]) is int
+    assert CoeffQT({(0, 0): Fraction(1)}).is_one()
+    assert CoeffQT.from_obj([{"q": 1, "t": 0, "num": "6", "den": "3"}]).terms == {(1, 0): 2}

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from lltpaths.coeffring import CoeffQT
@@ -184,6 +186,16 @@ def test_recursion_evaluate_examples():
     assert recursion_evaluate("nene").coeffs == {(1, 1): ONE}
     with pytest.raises(BoundExceeded):
         recursion_evaluate("n" * 8 + "e" * 8)
+
+
+def test_recursion_evaluate_restores_the_recursion_limit():
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        recursion_evaluate("nndenendee")
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(previous)
 
 
 def test_recursion_evaluate_matches_colorings():

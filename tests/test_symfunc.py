@@ -147,3 +147,17 @@ def test_mixed_degree_conversion():
     assert f.convert("m").convert("e") == f
     assert sorted(f.degrees()) == [2, 3]
     assert m.coefficient("e", (2,)) == CoeffQT.one()
+
+
+def test_conversions_keep_integral_coefficients_as_int():
+    rng = random.Random(8)
+    for _ in range(20):
+        f = random_symfunc(rng, rng.choice("mehs"), max_degree=4)
+        for target in "mehs":
+            for c in f.convert(target).coeffs.values():
+                assert all(type(v) is int for v in c.terms.values()), (f, target)
+    # only the power-sum basis brings in 1/z_lambda
+    p = SymFunc("e", {(2,): 1}).convert("p")
+    assert p.coeffs == {(1, 1): CoeffQT.from_rational(Fraction(1, 2)), (2,): CoeffQT.from_rational(Fraction(-1, 2))}
+    back = p.convert("e")
+    assert back == SymFunc("e", {(2,): 1}) and type(back.coeffs[(2,)].terms[(0, 0)]) is int
