@@ -26,7 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
-from .coeffring import CoeffQT
+from .coeffring import CoeffQT, Rational
 from .errors import LLTError
 from .partitions import (
     DEGREE_BOUND,
@@ -41,9 +41,7 @@ BASES = ("m", "e", "h", "p", "s")
 ScalarLike = Union[int, Fraction, CoeffQT]
 
 _M_MUL_CACHE: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-Rational = Union[int, Fraction]
-
-_TRANSITION_CACHE: dict[tuple[str, int], tuple[list[Partition], list[list[Rational]], list[list[Rational]]]] = {}
+_TRANSITION_CACHE: dict[tuple[str, int], tuple[list[Partition], list[list[int]], list[list[Rational]]]] = {}
 
 
 def _coeff(v: ScalarLike) -> CoeffQT:
@@ -390,7 +388,7 @@ def _expand_in_m(basis: str, lam: Partition) -> dict[Partition, int]:
     return out
 
 
-def _invert(mat: list[list[Rational]]) -> list[list[Rational]]:
+def _invert(mat: list[list[int]]) -> list[list[Rational]]:
     """Invert a square matrix over the rationals by Gauss-Jordan elimination.
 
     Entries of the inverse are returned as `int` where integral.
