@@ -85,7 +85,7 @@ def _expand_by_method(path, method: str, bound: int) -> SymFunc:
     if method == "colorings":
         return llt(path, bound=bound)
     if method == "orientations":
-        return llt_via_orientations(path)
+        return llt_via_orientations(path, bound=bound)
     return recursion_evaluate(path, bound=bound)
 
 

@@ -168,6 +168,11 @@ class CoeffQT:
         return o + (-self)
 
     def __mul__(self, other: Scalar) -> "CoeffQT":
+        if other.__class__ is int:
+            # a scalar scales every term; Fraction * int may become integral
+            res = CoeffQT.__new__(CoeffQT)
+            res.terms = _canon_values({k: v * other for k, v in self.terms.items()}) if other else {}
+            return res
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -1,6 +1,8 @@
 """Colorings and orientations of decorated unit-interval graphs.
 
-Two combinatorial models live here, each enumerated by one kernel.
+Two combinatorial models live here.  Each has a dynamic program that
+tallies the whole sum, and a per-object kernel that serves callers who
+need the objects one at a time and the tests as an oracle.
 
 Colorings.  ``coloring_backtrack`` colours vertices 1..n in order and
 prunes by the rule that each edge to a lower neighbour u carries:
@@ -10,18 +12,23 @@ prunes by the rule that each edge to a lower neighbour u carries:
 * PROPER: the colour must differ, an ascent when it rises.
 
 A content vector caps the number of vertices of each colour, and a leaf
-callback decides what each finished coloring contributes.  ``llt`` runs
-it over the strict and free edges of the graph of a path and tallies
-q^{asc(kappa)} x_kappa, the vertical-strip polynomial in the monomial
-basis; ``chromatic`` makes every edge PROPER; ``coloring_weight_split``
-and the permutation colorings of the Schur module use other contents and
-leaves.
+callback decides what each finished coloring contributes.
+``content_coefficient``, ``coloring_weight_split`` and the permutation
+colorings of the Schur module run it.  ``llt`` and ``chromatic`` (every
+edge PROPER) instead run ``_m_expansion``, which builds all contents at
+once by adding one colour class at a time: a state is the set of coloured
+vertices and the class sizes so far.  ``llt`` tallies q^{asc(kappa)}
+x_kappa over the strict and free edges of the graph of a path, the
+vertical-strip polynomial in the monomial basis.
 
 Orientations.  An orientation is a bitmask over the non-strict edges (a
 set bit points the edge upward); ``_hrv_labels`` computes the highest
-reachable vertex of every vertex under one mask.  ``orientation_e_expansion``
-sums q^{asc(theta)} e_{lambda(theta)} over all 2^area masks, and ``hrv``
-and ``lambda_theta`` read the same labels for one explicit orientation.
+reachable vertex of every vertex under one mask, and ``hrv`` and
+``lambda_theta`` read those labels for one explicit orientation.
+``orientation_e_expansion`` sums q^{asc(theta)} e_{lambda(theta)} over all
+2^area orientations without visiting them: ``_orientation_tally`` places
+the vertices from n down to 1 and keeps only the labels of the window of
+vertices that lower ones can still reach, with the sizes of the blocks.
 Substituting q -> q-1 in the orientation sum recovers the coloring sum,
 which is the identity the verification suites exercise on exhaustive
 small instances.
@@ -34,6 +41,7 @@ module-level caches are keyed by path word; inserts are idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Callable
 
 from .coeffring import CoeffQT
@@ -155,14 +163,80 @@ def _q_poly(tally: dict[int, int]) -> CoeffQT:
     return CoeffQT({(a, 0): c for a, c in tally.items()})
 
 
+def _digits(value: int, width: int) -> dict[int, int]:
+    """The tally of a polynomial with coefficients in [0, 2**width), read from its value at q = 2**width.
+
+    The dynamic programs below carry each ascent tally as that value: the
+    base-2**width digits are the counts, and they never carry as long as no
+    count reaches 2**width.  Tallies then add as ints, a shift by width*k
+    multiplies by q^k, and a product of two values is the value of the
+    product polynomial.
+    """
+    mask = (1 << width) - 1
+    tally: dict[int, int] = {}
+    exponent = 0
+    while value:
+        if value & mask:
+            tally[exponent] = value & mask
+        value >>= width
+        exponent += 1
+    return tally
+
+
 def _m_expansion(lower, n: int) -> SymFunc:
-    """The coloring sum in the m-basis: m_lam collects the colorings of content lam."""
-    coeffs = {}
-    for lam in partitions_of(n):
-        tally = _ascent_tally(lower, lam)
-        if tally:
-            coeffs[lam] = _q_poly(tally)
-    return SymFunc("m", coeffs)
+    """The coloring sum in the m-basis: m_lam collects the colorings of content lam.
+
+    A dynamic program that colours one class at a time, colour 1 first, for
+    every content at once.  A state is the set of vertices coloured so far
+    (bit v-1 for vertex v) and the weakly decreasing sizes of the classes
+    used so far.  The next class S, coloured one higher than every vertex
+    already coloured, may be any set of uncoloured vertices no larger than
+    the last class such that every strict lower neighbour of a vertex of S
+    is already coloured and no PROPER edge joins two vertices of S.  A
+    vertex of S rises above each of its non-strict lower neighbours that are
+    already coloured, one ascent each; an ascent on an edge is counted when
+    its upper end is coloured, so never twice.  The states that colour every
+    vertex give the m-coefficients.  No count exceeds n!, which sets the
+    digit width of the tallies (see `_digits`).
+    """
+    need = [0] * n  # strict lower neighbours, coloured lower than v
+    rise = [0] * n  # non-strict lower neighbours, an ascent each when coloured lower
+    clash = [0] * n  # PROPER lower neighbours, never in the class of v
+    for v in range(1, n + 1):
+        for (u, rule) in lower[v]:
+            bit = 1 << (u - 1)
+            if rule == STRICT:
+                need[v - 1] |= bit
+            else:
+                rise[v - 1] |= bit
+                if rule == PROPER:
+                    clash[v - 1] |= bit
+    width = factorial(n).bit_length()
+    everyone = (1 << n) - 1
+    # coloured set -> {class sizes: ascent tally}; a class is nonempty, so the
+    # coloured set grows as an int and one ascending pass visits every state
+    table: dict[int, dict[tuple[int, ...], int]] = {0: {(): 1}}
+    for coloured in range(everyone):
+        states = table.pop(coloured, None)
+        if states is None:
+            continue
+        cap = max(sizes[-1] if sizes else n for sizes in states)
+        classes = [(0, 0, 0)]  # (members, size, ascents)
+        for v in range(n):
+            if coloured >> v & 1 or need[v] & ~coloured:
+                continue
+            bit, gain = 1 << v, (rise[v] & coloured).bit_count()
+            classes += [(s | bit, k + 1, a + gain) for (s, k, a) in classes if k < cap and not s & clash[v]]
+        by_size: list[list[tuple[dict, int]]] = [[] for _ in range(cap + 1)]
+        for members, k, a in classes[1:]:
+            by_size[k].append((table.setdefault(coloured | members, {}), width * a))
+        for sizes, value in states.items():
+            for k in range(1, (sizes[-1] if sizes else n) + 1):
+                key = sizes + (k,)
+                for target, shift in by_size[k]:
+                    target[key] = target.get(key, 0) + (value << shift)
+    final = table.pop(everyone)
+    return SymFunc("m", {lam: _q_poly(_digits(final[lam], width)) for lam in partitions_of(n) if lam in final})
 
 
 def llt(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
@@ -277,48 +351,93 @@ def lambda_theta(g: DecoratedGraph, theta: Orientation) -> tuple[int, ...]:
     return _block_sizes(_theta_labels(g, theta))
 
 
-def _orientation_tally(path: SchroederPath, area_bound: int = AREA_BOUND) -> dict[tuple[int, ...], dict[int, int]]:
+def _orientation_tally(path: SchroederPath) -> dict[tuple[int, ...], dict[int, int]]:
     """For each partition lam, count orientations with lambda(theta) = lam by ascent.
 
-    The bitmask enumeration over non-strict edges is the hot loop of the
-    whole package; everything here is small ints.
+    A dynamic program over the vertices from n down to 1.  The upper
+    neighbours of v are v+1..top[v], and top never decreases, so once v is
+    placed only the window v..top[v-1] can still be reached from below.  A
+    state holds the highest-reachable labels of the window, as ranks
+    (only their order and equality matter), the sizes of the blocks those
+    labels name, and the sorted sizes of the blocks already closed.
+
+    Vertex v chooses which of its non-strict upper edges point up, one
+    ascent each; its strict upper edges always do.  Its label is the largest
+    label it reaches, or v itself (below every label in the window) when it
+    reaches none, and v joins that label's block.  A block closes when its
+    label leaves the window, since no vertex below can reach it any more.
+    No count exceeds 2**area, which sets the digit width of the tallies
+    (see `_digits`).
     """
-    free, strict_up, free_up = _upward_edges(graph(path))
-    if len(free) > area_bound:
-        raise BoundExceeded(f"area {len(free)} exceeds bound {area_bound}")
-    by_labels: dict[tuple[int, ...], dict[int, int]] = {}
-    for mask in range(1 << len(free)):
-        labels = tuple(_hrv_labels(strict_up, free_up, mask))
-        asc = bin(mask).count("1")
-        inner = by_labels.setdefault(labels, {})
-        inner[asc] = inner.get(asc, 0) + 1
-    # far fewer distinct label vectors than masks: reduce them to lambda once each
-    tally: dict[tuple[int, ...], dict[int, int]] = {}
-    for labels, inner in by_labels.items():
-        merged = tally.setdefault(_block_sizes(labels), {})
-        for asc, count in inner.items():
-            merged[asc] = merged.get(asc, 0) + count
-    return tally
+    g = graph(path)
+    n = g.n
+    top = list(range(n + 1))  # top[v]: the highest neighbour of v, or v; top[0] = 0
+    for (x, y) in g.edges:
+        top[x] = max(top[x], y)
+    # window positions (vertex v+1+i at position i) of the upper edges of v
+    forced = [[y - x - 1 for (x, y) in g.strict if x == v] for v in range(n + 1)]
+    free = [[i for i in range(top[v] - v) if i not in forced[v]] for v in range(n + 1)]
+    width = len(g.edges) - len(g.strict) + 1
+    up = 1 + (1 << width)  # the value of 1 + q: one non-strict edge, down or up
+    # window labels -> {(open block sizes by rank, closed block sizes): ascent tally}
+    states: dict[tuple[int, ...], dict[tuple, int]] = {(): {((), ()): 1}}
+    for v in range(n, 0, -1):
+        keep = top[v - 1] - v + 1  # the next window is v..top[v-1]
+        following: dict[tuple[int, ...], dict[tuple, int]] = {}
+        for labels, blocks in states.items():
+            reached = [labels[i] for i in free[v]]
+            low = max((labels[i] for i in forced[v]), default=-1)
+            # label of v -> the tally of the choices of up-edges that give it.  v keeps
+            # `low` (its strict label, or -1 for v itself) when every up-edge it
+            # picks reaches no higher label; it takes r > low when at least one
+            # edge to r points up, whatever the edges to lower labels do.
+            choices = {low: up ** sum(1 for r in reached if r <= low)}
+            for r in set(reached):
+                if r > low:
+                    below = sum(1 for s in reached if s < r)
+                    choices[r] = (up ** reached.count(r) - 1) * up ** below
+            for label, poly in choices.items():
+                # a new block takes rank 0 and lifts the others by one
+                new = label < 0
+                window = ((0,) + tuple(r + 1 for r in labels) if new else (label,) + labels)[:keep]
+                alive = sorted(set(window))
+                rank = {r: i for i, r in enumerate(alive)}
+                dead = [r for r in range(len(set(labels)) + new) if r not in rank]
+                target = following.setdefault(tuple(rank[r] for r in window), {})
+                for (sizes, closed), value in blocks.items():
+                    if new:
+                        sizes = (1,) + sizes
+                    else:
+                        sizes = sizes[:label] + (sizes[label] + 1,) + sizes[label + 1 :]
+                    if dead:
+                        closed = tuple(sorted(closed + tuple(sizes[r] for r in dead), reverse=True))
+                    state = (tuple(sizes[r] for r in alive), closed)
+                    target[state] = target.get(state, 0) + value * poly
+        states = following
+    return {closed: _digits(value, width) for (_, closed), value in states[()].items()}
 
 
-def orientation_e_expansion(path: SchroederPath, area_bound: int = AREA_BOUND) -> SymFunc:
+def orientation_e_expansion(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     """Sum of q^{asc(theta)} e_{lambda(theta)} over all orientations.
 
     This is the e-positive expansion of the coloring sum with q shifted
     by one: it equals llt(path) after the substitution q -> q+1.
     """
+    n = path.size
+    if n > bound:
+        raise BoundExceeded(f"orientation_e_expansion on size {n} exceeds bound {bound}")
     cached = _ORIENT_CACHE.get(path.word)
     if cached is not None:
         return cached
-    tally = _orientation_tally(path, area_bound)
+    tally = _orientation_tally(path)
     out = SymFunc("e", {lam: _q_poly(inner) for lam, inner in tally.items()})
     _ORIENT_CACHE[path.word] = out
     return out
 
 
-def llt_via_orientations(path: SchroederPath, area_bound: int = AREA_BOUND) -> SymFunc:
+def llt_via_orientations(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     """The orientation sum with q -> q-1: contractually equal to llt(path) in e."""
-    return orientation_e_expansion(path, area_bound).shift_q(-1)
+    return orientation_e_expansion(path, bound).shift_q(-1)
 
 
 def chromatic(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:

@@ -95,7 +95,7 @@ def kostka_schur(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     if n > bound:
         raise BoundExceeded(f"size {n} exceeds bound {bound}")
     coeffs: dict[tuple[int, ...], CoeffQT] = {}
-    for lam, weight in llt_via_orientations(path).coeffs.items():
+    for lam, weight in llt_via_orientations(path, bound).coeffs.items():
         for mu in partitions_of(n):
             k = kostka(conjugate(mu), lam)
             if k:

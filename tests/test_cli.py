@@ -166,3 +166,25 @@ def test_expand_unsafe_max_n_reaches_the_evaluator(capsys):
     )
     assert code == 0
     assert SymFunc.from_obj(json.loads(out)["result"]) == llt(p, bound=8).convert("e")
+
+
+def test_expand_orientations_on_the_area_21_staircase(capsys):
+    outs = []
+    for method in ("orientations", "colorings"):
+        code, out = run(capsys, "expand", "nnnnnnneeeeeee", "--method", method, "--basis", "e")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_expand_orientations_size_guard(capsys):
+    from lltpaths.llt import llt
+    from lltpaths.schroeder import parse
+    from lltpaths.symfunc import SymFunc
+
+    word = "ndenenndeennee"
+    code, out = run(capsys, "expand", word, "--method", "orientations")
+    assert code == 2 and out == ""
+    code, out = run(capsys, "expand", word, "--method", "orientations", "--basis", "e", "--unsafe-max-n", "8", "--json")
+    assert code == 0
+    assert SymFunc.from_obj(json.loads(out)["result"]) == llt(parse(word), bound=8).convert("e")

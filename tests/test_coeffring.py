@@ -164,7 +164,7 @@ def test_canonical_form_of_every_operation():
         b = random_poly(rng, degree=3, terms=4)
         shiftable = CoeffQT({(abs(eq), et): v for (eq, et), v in a.terms.items()})
         results = [
-            a, a + b, a - b, -a, a * b, a**2, b**3, a + 1, 2 - a, a * 3, Fraction(2, 3) * a,
+            a, a + b, a - b, -a, a * b, a**2, b**3, a + 1, 2 - a, a * 3, 4 * a, a * 0, Fraction(2, 3) * a,
             shiftable.shift_q(1), shiftable.shift_q(-2),
             a.specialize_q(1), a.specialize_q(-2), a.specialize_q(Fraction(2, 3)),
             CoeffQT.from_obj(a.to_obj()),

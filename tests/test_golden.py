@@ -41,6 +41,8 @@ COMMANDS = [
     "schur nndee --method elw",
     "schur nndee --method convert",
     "survey --max-n 4 --witness",
+    # the area-21 staircase, out of reach of a 2^area orientation loop
+    "expand nnnnnnneeeeeee --basis e --method orientations",
 ]
 
 RELATION_SIZES = (4, 5)

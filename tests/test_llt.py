@@ -3,12 +3,17 @@ import itertools
 import pytest
 
 from lltpaths.coeffring import CoeffQT
-from lltpaths.errors import HasDiagonal, InvalidColoring
+from lltpaths.errors import BoundExceeded, HasDiagonal, InvalidColoring
 from lltpaths.llt import (
+    PROPER,
     Orientation,
+    _block_sizes,
+    _hrv_labels,
+    _upward_edges,
     asc_coloring,
     asc_orientation,
     chromatic,
+    coloring_backtrack,
     coloring_weight_split,
     content_coefficient,
     hrv,
@@ -303,3 +308,67 @@ def test_orientation_sum_matches_explicit_orientations():
                 assert lambda_theta(g, theta) == lam, (p.word, theta)
                 total = total + SymFunc.basis_element("e", lam, Q ** asc_orientation(g, theta))
             assert total == orientation_e_expansion(p), p.word
+
+
+# The dynamic programs behind llt, chromatic and orientation_e_expansion are
+# checked on every path of size <= 6 against the per-coloring backtrack and a
+# loop over every orientation mask.
+
+
+def _q_tally(tally):
+    return CoeffQT({(a, 0): c for a, c in tally.items()})
+
+
+def _backtrack_coefficient(lower, lam):
+    tally = {}
+
+    def leaf(colors, asc):
+        tally[asc] = tally.get(asc, 0) + 1
+
+    coloring_backtrack(lower, lam, leaf)
+    return _q_tally(tally)
+
+
+def test_llt_matches_the_backtrack_on_every_content():
+    for n in range(1, 7):
+        for p in enumerate_paths(n):
+            f = llt(p)
+            for lam in partitions_of(n):
+                assert f.coeffs.get(lam, CoeffQT.zero()) == content_coefficient(p, lam), (p.word, lam)
+
+
+def test_chromatic_matches_the_backtrack_with_proper_edges():
+    for n in range(1, 7):
+        for p in enumerate_paths(n, dyck_only=True):
+            lower = [[(u, PROPER) for (u, _) in nbrs] for nbrs in graph(p).lower_neighbors()]
+            f = chromatic(p)
+            for lam in partitions_of(n):
+                assert f.coeffs.get(lam, CoeffQT.zero()) == _backtrack_coefficient(lower, lam), (p.word, lam)
+
+
+def _orientation_mask_loop(p):
+    """The orientation sum by labelling every mask of the non-strict edges."""
+    free, strict_up, free_up = _upward_edges(graph(p))
+    tally = {}
+    for mask in range(1 << len(free)):
+        inner = tally.setdefault(_block_sizes(_hrv_labels(strict_up, free_up, mask)), {})
+        asc = bin(mask).count("1")
+        inner[asc] = inner.get(asc, 0) + 1
+    return SymFunc("e", {lam: _q_tally(inner) for lam, inner in tally.items()})
+
+
+def test_orientation_sum_matches_the_mask_loop():
+    for n in range(1, 7):
+        for p in enumerate_paths(n):
+            assert orientation_e_expansion(p) == _orientation_mask_loop(p), p.word
+
+
+def test_orientation_route_is_bounded_by_size():
+    p = parse("ndenenndeennee")
+    assert p.size == 8
+    with pytest.raises(BoundExceeded):
+        orientation_e_expansion(p)
+    with pytest.raises(BoundExceeded):
+        llt_via_orientations(p)
+    assert orientation_e_expansion(p, bound=8) == _orientation_mask_loop(p)
+    assert llt_via_orientations(p, bound=8) == llt(p, bound=8).convert("e")

@@ -64,6 +64,12 @@ def test_triple_agreement_small():
             assert a.coeffs == b.coeffs == c.coeffs, p.word
 
 
+def test_kostka_route_passes_its_bound_to_the_orientations():
+    p = parse("ndenenndeennee")
+    assert p.size == 8
+    assert kostka_schur(p, bound=8) == llt(p, bound=8).convert("s")
+
+
 def test_dominance_vanishing_inside_kostka_route():
     # terms with mu' not dominating lambda(theta) contribute nothing
     for n in range(1, 6):
