@@ -16,14 +16,13 @@ import time
 from . import harmonics, relations
 from .errors import LLTError
 from .llt import chromatic, llt, llt_via_orientations, orientation_e_expansion
-from .partitions import partitions_of
+from .partitions import DEGREE_BOUND, partitions_of
 from .relations import recursion_evaluate
-from .schroeder import area, enumerate_paths, graph, parse
+from .schroeder import SIZE_BOUND, area, enumerate_paths, graph, parse
 from .schur import elw_schur, kostka_schur
 from .symfunc import SymFunc
 
 SCHEMA = "lltpaths/1"
-DEFAULT_MAX_N = 7
 
 SUITES = {
     "unicellular": relations.verify_unicellular,
@@ -134,10 +133,10 @@ def _cmd_equality(args, started):
     failures = []
     total = 0
     for n in range(1, args.max_n + 1):
-        for p in enumerate_paths(n):
+        for p in enumerate_paths(n, bound=args.unsafe_max_n):
             total += 1
-            lhs = llt(p).shift_q(1).convert("e")
-            rhs = orientation_e_expansion(p)
+            lhs = llt(p, args.unsafe_max_n).shift_q(1).convert("e")
+            rhs = orientation_e_expansion(p, args.unsafe_max_n)
             if not (lhs - rhs).is_zero():
                 failures.append({"path": p.word, "discrepancy": (lhs - rhs).to_obj()})
     result = {"paths_checked": total, "failures": failures}
@@ -163,6 +162,9 @@ def _cmd_equality(args, started):
 
 def _cmd_verify(args, started):
     _check_size(args.max_n, args)
+    if args.max_n > SIZE_BOUND:
+        # the relation suites take no bound, so --unsafe-max-n cannot lift theirs
+        raise LLTError(f"size {args.max_n} exceeds the limit {SIZE_BOUND} of the relation suites")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.suite == "all":
         names.remove("extended")  # optional wider scope, run only when asked
@@ -201,11 +203,11 @@ def _cmd_verify(args, started):
 def _cmd_schur(args, started):
     path = parse(args.word)
     if args.method == "elw":
-        f = elw_schur(path)
+        f = elw_schur(path, args.unsafe_max_n)
     elif args.method == "kostka":
-        f = kostka_schur(path)
+        f = kostka_schur(path, args.unsafe_max_n)
     else:
-        f = llt(path).convert("s")
+        f = llt(path, args.unsafe_max_n).convert("s")
     _emit(
         args,
         {
@@ -219,7 +221,7 @@ def _cmd_schur(args, started):
 
 
 def _cmd_nabla_e(args, started):
-    f = harmonics.nabla_e(args.n)
+    f = harmonics.nabla_e(args.n, args.unsafe_max_n)
     _emit(
         args,
         {
@@ -233,7 +235,7 @@ def _cmd_nabla_e(args, started):
 
 
 def _cmd_nabla_p(args, started):
-    f = harmonics.nabla_p(args.n)
+    f = harmonics.nabla_p(args.n, args.unsafe_max_n)
     _emit(
         args,
         {
@@ -247,7 +249,7 @@ def _cmd_nabla_p(args, started):
 
 
 def _cmd_hl(args, started):
-    f = harmonics.hall_littlewood(tuple(args.mu))
+    f = harmonics.hall_littlewood(tuple(args.mu), args.unsafe_max_n)
     _emit(
         args,
         {
@@ -261,7 +263,7 @@ def _cmd_hl(args, started):
 
 
 def _cmd_chromatic(args, started):
-    f = chromatic(parse(args.word)).convert("e")
+    f = chromatic(parse(args.word), args.unsafe_max_n).convert("e")
     _emit(
         args,
         {
@@ -275,7 +277,7 @@ def _cmd_chromatic(args, started):
 
 
 def _cmd_survey(args, started):
-    rep = harmonics.survey_e_coefficients(args.max_n)
+    rep = harmonics.survey_e_coefficients(args.max_n, args.unsafe_max_n)
     obj = rep.to_obj()
     if not args.witness:
         obj = {k: v for k, v in obj.items() if k != "entries"}
@@ -302,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--unsafe-max-n",
         type=int,
-        default=DEFAULT_MAX_N,
+        default=SIZE_BOUND,
         help="raise the enumerative size guard (runtimes grow fast)",
     )
 
@@ -374,6 +376,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be positive")
+    if args.unsafe_max_n > DEGREE_BOUND:
+        parser.error(f"--unsafe-max-n may not exceed {DEGREE_BOUND}, the largest degree the algebra accepts")
     started = time.monotonic()
     try:
         return args.handler(args, started)

@@ -19,16 +19,11 @@ from .coeffring import CoeffQT
 from .errors import BoundExceeded, NotDivisible
 from .llt import llt, orientation_e_expansion
 from .partitions import weak_compositions
-from .schroeder import dyck_star, enumerate_paths, haglund_bounce, nu_alpha, p_mu
+from .schroeder import SIZE_BOUND, dyck_star, enumerate_paths, haglund_bounce, nu_alpha, p_mu
 from .symfunc import SymFunc
 
-NABLA_E_BOUND = 5
-NABLA_P_BOUND = 4
-HL_BOUND = 6
-SURVEY_BOUND = 6
 
-
-def nabla_e(n: int, bound: int = NABLA_E_BOUND) -> SymFunc:
+def nabla_e(n: int, bound: int = SIZE_BOUND) -> SymFunc:
     """The Frobenius series of diagonal coinvariants via the corner-collapse sum.
 
     q is carried by the path polynomials, t by the bounce weight; the
@@ -37,13 +32,13 @@ def nabla_e(n: int, bound: int = NABLA_E_BOUND) -> SymFunc:
     if n > bound:
         raise BoundExceeded(f"nabla_e({n}) exceeds bound {bound}")
     total = SymFunc.zero("e")
-    for path in enumerate_paths(n, dyck_only=True):
+    for path in enumerate_paths(n, dyck_only=True, bound=bound):
         weight = CoeffQT.t(haglund_bounce(path))
-        total = total + llt(dyck_star(path)).convert("e").scale(weight)
+        total = total + llt(dyck_star(path), bound).convert("e").scale(weight)
     return total
 
 
-def nabla_p(n: int, bound: int = NABLA_P_BOUND) -> SymFunc:
+def nabla_p(n: int, bound: int = SIZE_BOUND) -> SymFunc:
     """The sign-normalized square-paths sum (-1)^(n-1) nabla p_n, in the Schur basis."""
     if n > bound:
         raise BoundExceeded(f"nabla_p({n}) exceeds bound {bound}")
@@ -51,11 +46,11 @@ def nabla_p(n: int, bound: int = NABLA_P_BOUND) -> SymFunc:
     for alpha in weak_compositions(n, n):
         path, area_alpha, below = nu_alpha(alpha)
         weight = CoeffQT.monomial(below, area_alpha)
-        total = total + llt(path).convert("s").scale(weight)
+        total = total + llt(path, bound).convert("s").scale(weight)
     return total
 
 
-def hall_littlewood(mu: tuple[int, ...], bound: int = HL_BOUND) -> SymFunc:
+def hall_littlewood(mu: tuple[int, ...], bound: int = SIZE_BOUND) -> SymFunc:
     """Transformed Hall-Littlewood polynomial H_{mu'} as a q-polynomial (Schur basis).
 
     Computed as q^{-sum_{i>=2} C(mu_i,2)} omega(G_{P_mu}); the prefactor
@@ -65,7 +60,7 @@ def hall_littlewood(mu: tuple[int, ...], bound: int = HL_BOUND) -> SymFunc:
     mu = tuple(mu)
     if sum(mu) > bound:
         raise BoundExceeded(f"|mu| = {sum(mu)} exceeds bound {bound}")
-    g = llt(p_mu(mu))
+    g = llt(p_mu(mu), bound)
     flipped = g.omega()
     shift = sum(comb(part, 2) for part in mu[1:])
     prefactor = CoeffQT.q(shift)
@@ -149,7 +144,7 @@ def _is_log_concave(values: list[int]) -> bool:
     )
 
 
-def survey_e_coefficients(max_n: int, bound: int = SURVEY_BOUND) -> SurveyReport:
+def survey_e_coefficients(max_n: int, bound: int = SIZE_BOUND) -> SurveyReport:
     """Record unimodality and log-concavity of every a_mu(q); reports only.
 
     A conjectural property failing shows up as a False flag in the
@@ -159,8 +154,8 @@ def survey_e_coefficients(max_n: int, bound: int = SURVEY_BOUND) -> SurveyReport
         raise BoundExceeded(f"survey up to {max_n} exceeds bound {bound}")
     report = SurveyReport(max_n)
     for n in range(1, max_n + 1):
-        for path in enumerate_paths(n):
-            shifted = orientation_e_expansion(path)
+        for path in enumerate_paths(n, bound=bound):
+            shifted = orientation_e_expansion(path, bound)
             for mu, coeff in sorted(shifted.coeffs.items()):
                 top = coeff.q_degree() or 0
                 values = [0] * (top + 1)

@@ -47,11 +47,10 @@ from typing import Callable
 from .coeffring import CoeffQT
 from .errors import BoundExceeded, HasDiagonal, InvalidColoring
 from .partitions import partitions_of
-from .schroeder import DecoratedGraph, SchroederPath, graph
+from .schroeder import SIZE_BOUND, DecoratedGraph, SchroederPath, graph
 from .symfunc import SymFunc
 
-SIZE_BOUND = 7
-AREA_BOUND = 20
+AREA_BOUND = 16
 
 _LLT_CACHE: dict[str, SymFunc] = {}
 _ORIENT_CACHE: dict[str, SymFunc] = {}
@@ -247,12 +246,12 @@ def llt(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     and so on); colors beyond [n] never occur since the function is
     homogeneous of degree n.
     """
-    cached = _LLT_CACHE.get(path.word)
-    if cached is not None:
-        return cached
     n = path.size
     if n > bound:
         raise BoundExceeded(f"llt on size {n} exceeds bound {bound}")
+    cached = _LLT_CACHE.get(path.word)
+    if cached is not None:
+        return cached
     out = _m_expansion(graph(path).lower_neighbors(), n)
     _LLT_CACHE[path.word] = out
     return out
@@ -446,14 +445,14 @@ def chromatic(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     Proper colorings (adjacent colors distinct) weighted by the same
     ascent statistic as the coloring sum, returned in the m-basis.
     """
+    n = path.size
+    if n > bound:
+        raise BoundExceeded(f"chromatic on size {n} exceeds bound {bound}")
     if not path.is_dyck():
         raise HasDiagonal(f"{path.word!r} has diagonal steps")
     cached = _CHROMATIC_CACHE.get(path.word)
     if cached is not None:
         return cached
-    n = path.size
-    if n > bound:
-        raise BoundExceeded(f"chromatic on size {n} exceeds bound {bound}")
     lower = [[(u, PROPER) for (u, _) in nbrs] for nbrs in graph(path).lower_neighbors()]
     out = _m_expansion(lower, n)
     _CHROMATIC_CACHE[path.word] = out

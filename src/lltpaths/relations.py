@@ -15,21 +15,22 @@ x + z of the first east step).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .coeffring import CoeffQT
+from .coeffring import ZERO, CoeffQT
 from .errors import BoundExceeded, NonTermination
 from .llt import chromatic, llt
 from .partitions import compositions
-from .schroeder import SchroederPath, bounce_at, enumerate_paths, parse, reverse
+from .schroeder import SIZE_BOUND, SchroederPath, bounce_at, enumerate_paths, parse, reverse
 from .symfunc import SymFunc
 
 LltFn = Callable[[SchroederPath], SymFunc]
 
 _RECURSION_CACHE: dict[str, SymFunc] = {}
-_EVAL_DEPTH_BOUND = 4000
+# Two interpreter frames per level, so NonTermination fires before
+# CPython's default recursion limit of 1000 frames.
+_EVAL_DEPTH_BOUND = 200
 
 Q = CoeffQT.q()
 ONE = CoeffQT.one()
@@ -331,40 +332,37 @@ def all_suites(n: int, include_extended: bool = False) -> list[RelationReport]:
 # -- the axiomatic evaluator ----------------------------------------------------
 
 
-def dyck_path_graph_formula(k: int, bound: int = 7) -> SymFunc:
+def dyck_path_graph_formula(k: int, bound: int = SIZE_BOUND) -> SymFunc:
     """e-expansion of the polynomial of the path graph n (ne)^k e on k+1 vertices:
-    the sum of (q-1)^(k+1-l(alpha)) e_alpha over compositions alpha of k+1."""
-    if k > bound:
-        raise BoundExceeded(f"k={k} exceeds bound {bound}")
+    the sum of (q-1)^(k+1-l(alpha)) e_alpha over compositions alpha of k+1.
+    `bound` limits the path size k+1."""
+    if k + 1 > bound:
+        raise BoundExceeded(f"path graph on size {k + 1} exceeds bound {bound}")
     coeffs: dict[tuple[int, ...], CoeffQT] = {}
     for alpha in compositions(k + 1):
         lam = tuple(sorted(alpha, reverse=True))
-        c = coeffs.get(lam, CoeffQT.zero()) + (Q - 1) ** (k + 1 - len(alpha))
+        c = coeffs.get(lam, ZERO) + (Q - 1) ** (k + 1 - len(alpha))
         coeffs[lam] = c
     return SymFunc("e", coeffs)
 
 
-def recursion_evaluate(path: SchroederPath | str, bound: int = 7) -> SymFunc:
+def recursion_evaluate(path: SchroederPath | str, bound: int = SIZE_BOUND) -> SymFunc:
     """Evaluate the unique function fixed by the axioms, in the e-basis.
 
     Uses only the initial condition F(n d^k e) = e_{k+1}, multiplicativity
     at returns to the diagonal, the unicellular relation to strip a
     leading ne, and the generalized bounce relations when the first east
     step is preceded by a diagonal step.  Memoized on path words.  The
-    evaluator recurses; the interpreter's recursion limit is raised for
-    the call and restored afterwards.
+    evaluator recurses within the interpreter's default recursion limit
+    (a cold size-12 path goes 68 levels deep) and leaves that limit
+    alone; a rule cycle raises NonTermination at depth 200, before the
+    interpreter's limit is reached.
     """
     if isinstance(path, str):
         path = parse(path)
     if path.size > bound:
         raise BoundExceeded(f"size {path.size} exceeds bound {bound}")
-    previous = sys.getrecursionlimit()
-    if previous < 4 * _EVAL_DEPTH_BOUND:
-        sys.setrecursionlimit(4 * _EVAL_DEPTH_BOUND)
-    try:
-        return _evaluate(path.word, 0)
-    finally:
-        sys.setrecursionlimit(previous)
+    return _evaluate(path.word, 0)
 
 
 def _evaluate(word: str, depth: int) -> SymFunc:

@@ -26,7 +26,9 @@ from .errors import (
 
 Point = tuple[int, int]
 
-ENUMERATION_BOUND = 8
+# The default size limit of every computation over paths; each one takes a
+# `bound` parameter to lift it (the CLI's --unsafe-max-n).
+SIZE_BOUND = 7
 
 
 class SchroederPath:
@@ -174,7 +176,7 @@ def parse(text: str) -> SchroederPath:
     return SchroederPath(text)
 
 
-def enumerate_paths(n: int, dyck_only: bool = False, bound: int = ENUMERATION_BOUND) -> list[SchroederPath]:
+def enumerate_paths(n: int, dyck_only: bool = False, bound: int = SIZE_BOUND) -> list[SchroederPath]:
     """All Schroeder paths of size n, sorted by word (so deterministic)."""
     if n > bound:
         raise BoundExceeded(f"enumerate_paths({n}) exceeds bound {bound}")

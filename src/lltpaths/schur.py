@@ -20,14 +20,12 @@ basis; that triple agreement is an acceptance criterion.
 
 from __future__ import annotations
 
-from .coeffring import CoeffQT
+from .coeffring import ZERO, CoeffQT
 from .errors import BoundExceeded
 from .llt import coloring_backtrack, llt_via_orientations
 from .partitions import conjugate, kostka, partitions_of
-from .schroeder import SchroederPath, graph
+from .schroeder import SIZE_BOUND, SchroederPath, graph
 from .symfunc import SymFunc, straighten_schur
-
-SIZE_BOUND = 7
 
 
 def _permutations_with_ascents(path: SchroederPath) -> list[tuple[tuple[int, ...], int]]:
@@ -81,7 +79,7 @@ def elw_schur(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
             continue
         sign, lam = straightened
         term = CoeffQT.monomial(asc, 0, sign)
-        s = coeffs.get(lam, CoeffQT.zero()) + term
+        s = coeffs.get(lam, ZERO) + term
         if s.is_zero():
             coeffs.pop(lam, None)
         else:
@@ -99,7 +97,7 @@ def kostka_schur(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
         for mu in partitions_of(n):
             k = kostka(conjugate(mu), lam)
             if k:
-                s = coeffs.get(mu, CoeffQT.zero()) + weight * k
+                s = coeffs.get(mu, ZERO) + weight * k
                 if s.is_zero():
                     coeffs.pop(mu, None)
                 else:

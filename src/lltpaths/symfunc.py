@@ -26,7 +26,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
-from .coeffring import CoeffQT, Rational
+from .coeffring import ZERO, CoeffQT, Rational
 from .errors import LLTError
 from .partitions import (
     DEGREE_BOUND,
@@ -115,7 +115,7 @@ class SymFunc:
         self._require_same_basis(other)
         out = dict(self.coeffs)
         for lam, c in other.coeffs.items():
-            s = out.get(lam, CoeffQT.zero()) + c
+            s = out.get(lam, ZERO) + c
             if s.is_zero():
                 out.pop(lam, None)
             else:
@@ -183,7 +183,7 @@ class SymFunc:
     def coefficient(self, basis: str, lam: Iterable[int]) -> CoeffQT:
         """The lam-coefficient of this function expressed in the given basis."""
         lam = tuple(lam)
-        return self.convert(basis).coeffs.get(lam, CoeffQT.zero())
+        return self.convert(basis).coeffs.get(lam, ZERO)
 
     def equals(self, other: "SymFunc") -> bool:
         """Equality as abstract symmetric functions (compared in the e-basis)."""
@@ -205,7 +205,7 @@ class SymFunc:
             for lam, a in self.coeffs.items():
                 for mu, b in other.coeffs.items():
                     nu = tuple(sorted(lam + mu, reverse=True))
-                    s = out.get(nu, CoeffQT.zero()) + a * b
+                    s = out.get(nu, ZERO) + a * b
                     if s.is_zero():
                         out.pop(nu, None)
                     else:
@@ -218,7 +218,7 @@ class SymFunc:
             for mu, b in gm.coeffs.items():
                 ab = a * b
                 for nu, count in _m_mul_pair(lam, mu).items():
-                    s = out.get(nu, CoeffQT.zero()) + ab * count
+                    s = out.get(nu, ZERO) + ab * count
                     if s.is_zero():
                         out.pop(nu, None)
                     else:
@@ -442,7 +442,7 @@ def _to_m(basis: str, d: int, coeffs: dict[Partition, CoeffQT]) -> dict[Partitio
         row = mat[index[lam]]
         for j, v in enumerate(row):
             if v:
-                s = out.get(parts[j], CoeffQT.zero()) + c * v
+                s = out.get(parts[j], ZERO) + c * v
                 if s.is_zero():
                     out.pop(parts[j], None)
                 else:
@@ -460,7 +460,7 @@ def _from_m(basis: str, d: int, m_coeffs: dict[Partition, CoeffQT]) -> dict[Part
         for i in range(len(parts)):
             v = inv[col][i]
             if v:
-                s = out.get(parts[i], CoeffQT.zero()) + c * v
+                s = out.get(parts[i], ZERO) + c * v
                 if s.is_zero():
                     out.pop(parts[i], None)
                 else:

@@ -3,6 +3,11 @@ import json
 import pytest
 
 from lltpaths.cli import main
+from lltpaths.harmonics import hall_littlewood
+from lltpaths.llt import chromatic, llt
+from lltpaths.schroeder import parse
+from lltpaths.schur import elw_schur, kostka_schur
+from lltpaths.symfunc import SymFunc
 
 
 def run(capsys, *argv):
@@ -188,3 +193,58 @@ def test_expand_orientations_size_guard(capsys):
     code, out = run(capsys, "expand", word, "--method", "orientations", "--basis", "e", "--unsafe-max-n", "8", "--json")
     assert code == 0
     assert SymFunc.from_obj(json.loads(out)["result"]) == llt(parse(word), bound=8).convert("e")
+
+
+# One word of size 8 (limit + 1) for the path commands, a Dyck one for chromatic.
+SIZE_8 = "ndenenndeennee"
+DYCK_8 = "nnenenenenenenee"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", SIZE_8, "--method", "colorings"],
+        ["expand", SIZE_8, "--method", "orientations"],
+        ["expand", SIZE_8, "--method", "recursion"],
+        ["schur", SIZE_8, "--method", "elw"],
+        ["schur", SIZE_8, "--method", "kostka"],
+        ["schur", SIZE_8, "--method", "convert"],
+        ["chromatic", DYCK_8],
+        ["hl", "8"],
+        ["nabla-e", "8"],
+        ["nabla-p", "8"],
+        ["survey", "--max-n", "8"],
+    ],
+)
+def test_every_subcommand_refuses_limit_plus_one(capsys, argv):
+    code = main(argv)
+    assert code == 2 and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, library",
+    [
+        (["chromatic", DYCK_8], lambda: chromatic(parse(DYCK_8), bound=8).convert("e")),
+        (["schur", SIZE_8, "--method", "elw"], lambda: elw_schur(parse(SIZE_8), bound=8)),
+        (["schur", SIZE_8, "--method", "kostka"], lambda: kostka_schur(parse(SIZE_8), bound=8)),
+        (["schur", SIZE_8, "--method", "convert"], lambda: llt(parse(SIZE_8), bound=8).convert("s")),
+        (["hl", "8"], lambda: hall_littlewood((8,), bound=8)),
+    ],
+)
+def test_unsafe_max_n_reaches_the_library(capsys, argv, library):
+    code, out = run(capsys, *argv, "--unsafe-max-n", "8", "--json")
+    assert code == 0
+    assert SymFunc.from_obj(json.loads(out)["result"]) == library()
+
+
+def test_verify_refuses_sizes_its_suites_cannot_reach(capsys):
+    code = main(["verify", "--max-n", "8", "--unsafe-max-n", "8"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "exceeds the limit" in captured.err
+
+
+def test_unsafe_max_n_above_the_degree_bound_is_a_usage_error():
+    with pytest.raises(SystemExit) as err:
+        main(["paths", "3", "--unsafe-max-n", "13"])
+    assert err.value.code == 2

@@ -42,7 +42,7 @@ def test_nabla_p_table_row_3():
 
 def test_nabla_p_bound():
     with pytest.raises(BoundExceeded):
-        nabla_p(5)
+        nabla_p(8)
 
 
 def test_nabla_e_small():
@@ -111,4 +111,4 @@ def test_survey_shape():
     obj = report.to_obj()
     assert obj["coefficients_checked"] == len(report.entries)
     with pytest.raises(BoundExceeded):
-        survey_e_coefficients(7)
+        survey_e_coefficients(8)

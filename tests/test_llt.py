@@ -372,3 +372,21 @@ def test_orientation_route_is_bounded_by_size():
         llt_via_orientations(p)
     assert orientation_e_expansion(p, bound=8) == _orientation_mask_loop(p)
     assert llt_via_orientations(p, bound=8) == llt(p, bound=8).convert("e")
+
+
+def test_a_cached_size_8_value_is_still_refused_at_the_default_bound():
+    p, q = parse("ndenenndeennee"), parse("nnnnnnnneeeeeeee")
+    assert p.size == q.size == 8
+    llt(p, bound=8)
+    chromatic(q, bound=8)
+    with pytest.raises(BoundExceeded):
+        llt(p)
+    with pytest.raises(BoundExceeded):
+        chromatic(q)
+
+
+def test_orientations_refuse_area_17_before_building():
+    p = parse("nnnennnneeeeee")
+    assert area(p) == 17
+    with pytest.raises(BoundExceeded):
+        orientations(p)

@@ -3,7 +3,8 @@ import sys
 import pytest
 
 from lltpaths.coeffring import CoeffQT
-from lltpaths.errors import BoundExceeded
+from lltpaths import relations
+from lltpaths.errors import BoundExceeded, NonTermination
 from lltpaths.llt import chromatic, llt
 from lltpaths.relations import (
     all_suites,
@@ -194,6 +195,18 @@ def test_recursion_evaluate_restores_the_recursion_limit():
     try:
         recursion_evaluate("nndenendee")
         assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(previous)
+
+
+def test_a_rule_cycle_raises_non_termination_within_the_default_recursion_limit(monkeypatch):
+    monkeypatch.setattr(relations, "_RECURSION_CACHE", {})
+    monkeypatch.setattr(relations, "_evaluate_uncached", lambda word, depth: relations._evaluate(word, depth + 1))
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(NonTermination):
+            recursion_evaluate("nndee")
     finally:
         sys.setrecursionlimit(previous)
 
