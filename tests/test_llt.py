@@ -385,7 +385,7 @@ def test_a_cached_size_8_value_is_still_refused_at_the_default_bound():
         chromatic(q)
 
 
-def test_orientations_refuse_area_17_before_building():
+def test_orientations_refuse_area_17():
     p = parse("nnnennnneeeeee")
     assert area(p) == 17
     with pytest.raises(BoundExceeded):

@@ -2,8 +2,8 @@ import sys
 
 import pytest
 
-from lltpaths.coeffring import CoeffQT
 from lltpaths import relations
+from lltpaths.coeffring import CoeffQT
 from lltpaths.errors import BoundExceeded, NonTermination
 from lltpaths.llt import chromatic, llt
 from lltpaths.relations import (
