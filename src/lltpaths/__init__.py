@@ -14,6 +14,7 @@ from .errors import (
     BoundExceeded,
     DiagonalOnMainDiagonal,
     HasDiagonal,
+    InvalidArgument,
     InvalidColoring,
     InvalidPath,
     InvalidStep,

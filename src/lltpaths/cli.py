@@ -13,28 +13,16 @@ import json
 import sys
 import time
 
-from . import harmonics, relations
+from . import harmonics
 from .errors import LLTError
 from .llt import chromatic, llt, llt_via_orientations, orientation_e_expansion
 from .partitions import DEGREE_BOUND, partitions_of
-from .relations import recursion_evaluate
+from .relations import SUITES, all_suites, recursion_evaluate
 from .schroeder import SIZE_BOUND, area, enumerate_paths, graph, parse
 from .schur import elw_schur, kostka_schur
 from .symfunc import SymFunc
 
 SCHEMA = "lltpaths/1"
-
-SUITES = {
-    "unicellular": relations.verify_unicellular,
-    "bounceA": relations.verify_bounce_A,
-    "bounceB": relations.verify_bounce_B,
-    "bounceND": relations.verify_bounce_nd,
-    "generalized": relations.verify_generalized_bounce,
-    "dyck": relations.verify_dyck_relations,
-    "dual": relations.verify_dual_bounce,
-    "chromatic": relations.verify_chromatic_relations,
-    "extended": relations.verify_extended_bounce,
-}
 
 
 def _emit(args, payload: dict, started: float) -> None:
@@ -165,16 +153,11 @@ def _cmd_verify(args, started):
     if args.max_n > SIZE_BOUND:
         # the relation suites take no bound, so --unsafe-max-n cannot lift theirs
         raise LLTError(f"size {args.max_n} exceeds the limit {SIZE_BOUND} of the relation suites")
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    sizes = range(1, args.max_n + 1)
     if args.suite == "all":
-        names.remove("extended")  # optional wider scope, run only when asked
-    reports = []
-    for name in names:
-        fn = SUITES[name]
-        for n in range(1, args.max_n + 1):
-            if name == "chromatic" and n > 5:
-                continue
-            reports.append(fn(n))
+        reports = [rep for n in sizes for rep in all_suites(n)]
+    else:
+        reports = [SUITES[args.suite](n) for n in sizes]
     merged: dict[str, dict] = {}
     for rep in reports:
         agg = merged.setdefault(rep.suite, {"instances": 0, "failures": []})

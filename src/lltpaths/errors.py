@@ -41,6 +41,10 @@ class DiagonalOnMainDiagonal(InvalidPath):
     """A diagonal step touches the main diagonal."""
 
 
+class InvalidArgument(LLTError, ValueError):
+    """An argument outside a function's domain: a malformed partition or a size below 1."""
+
+
 class PointNotOnPath(LLTError):
     """The requested lattice point does not lie on the path."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .coeffring import CoeffQT
-from .errors import BoundExceeded, NotDivisible
+from .errors import BoundExceeded, InvalidArgument, NotDivisible
 from .llt import llt, orientation_e_expansion
 from .partitions import weak_compositions
 from .schroeder import SIZE_BOUND, dyck_star, enumerate_paths, haglund_bounce, nu_alpha, p_mu
@@ -42,6 +42,8 @@ def nabla_p(n: int, bound: int = SIZE_BOUND) -> SymFunc:
     """The sign-normalized square-paths sum (-1)^(n-1) nabla p_n, in the Schur basis."""
     if n > bound:
         raise BoundExceeded(f"nabla_p({n}) exceeds bound {bound}")
+    if n < 1:
+        raise InvalidArgument(f"nabla_p needs n >= 1, got {n}")
     total = SymFunc.zero("s")
     for alpha in weak_compositions(n, n):
         path, area_alpha, below = nu_alpha(alpha)

@@ -19,6 +19,7 @@ from .errors import (
     BoundExceeded,
     DiagonalOnMainDiagonal,
     HasDiagonal,
+    InvalidArgument,
     InvalidStep,
     PointNotOnPath,
     SizeMismatch,
@@ -318,7 +319,7 @@ def p_mu(mu: tuple[int, ...]) -> SchroederPath:
     """
     mu = tuple(mu)
     if not mu or not all(mu[i] >= mu[i + 1] >= 1 for i in range(len(mu) - 1)) or mu[-1] < 1:
-        raise ValueError(f"{mu} is not a nonempty partition")
+        raise InvalidArgument(f"{mu} is not a nonempty partition")
     word = ["n" * mu[0]]
     if len(mu) == 1:
         word.append("e" * mu[0])

@@ -103,6 +103,15 @@ def test_verify_all_small(capsys):
     assert all(s["passed"] for s in doc["result"]["suites"])
 
 
+@pytest.mark.parametrize("suite", ["chromatic", "all"])
+def test_verify_runs_the_chromatic_suite_at_every_size(capsys, suite):
+    code, out = run(capsys, "verify", "--suite", suite, "--max-n", "6", "--json")
+    assert code == 0
+    suites = {s["suite"]: s for s in json.loads(out)["result"]["suites"]}
+    assert all(s["passed"] for s in suites.values())
+    assert suites["chromatic"]["instances"] == 106 + 278  # sizes 1-5, then size 6
+
+
 def test_equality_sweep(capsys):
     code, out = run(capsys, "equality", "--max-n", "3")
     assert code == 0
@@ -214,6 +223,11 @@ DYCK_8 = "nnenenenenenenee"
         ["nabla-e", "8"],
         ["nabla-p", "8"],
         ["survey", "--max-n", "8"],
+        # malformed input is refused the same way
+        ["hl", "0"],
+        ["hl", "-1"],
+        ["hl", "2", "3"],
+        ["nabla-p", "0"],
     ],
 )
 def test_every_subcommand_refuses_limit_plus_one(capsys, argv):

@@ -7,6 +7,7 @@ from lltpaths.coeffring import CoeffQT
 from lltpaths.errors import BoundExceeded, NonTermination
 from lltpaths.llt import chromatic, llt
 from lltpaths.relations import (
+    SUITES,
     all_suites,
     dyck_path_graph_formula,
     recursion_evaluate,
@@ -21,7 +22,8 @@ from lltpaths.relations import (
     verify_generalized_bounce,
     verify_unicellular,
 )
-from lltpaths.schroeder import enumerate_paths, parse
+from lltpaths.schroeder import area, enumerate_paths, parse
+from lltpaths.symfunc import SymFunc
 
 Q = CoeffQT.q()
 ONE = CoeffQT.one()
@@ -170,6 +172,22 @@ def test_extended_suite_reported_separately():
     assert "extended" in names
     assert all(r.passed for r in reports)
     assert "extended" not in [r.suite for r in all_suites(4)]
+
+
+def _golden_weight(p):
+    """The corruption of the golden corpus: q^k area(p) e_(n), k the length of the leading north run."""
+    k = len(p.word) - len(p.word.lstrip("n"))
+    return SymFunc.basis_element("e", (p.size,), CoeffQT.q(k) * area(p))
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_failure_records_do_not_depend_on_the_route_basis(name):
+    route = chromatic if name == "chromatic" else llt
+    for n in (4, 5):
+        in_m = SUITES[name](n, llt_fn=lambda p: route(p) + _golden_weight(p).convert("m")).to_obj()
+        in_e = SUITES[name](n, llt_fn=lambda p: route(p).convert("e") + _golden_weight(p)).to_obj()
+        assert in_m == in_e, (name, n)
+        assert bool(in_m["failures"]) == bool(in_m["instances"]), (name, n)
 
 
 def test_dyck_path_graph_formula():
