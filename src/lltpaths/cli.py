@@ -77,7 +77,9 @@ def _expand_by_method(path, method: str, bound: int) -> SymFunc:
 
 
 def _check_size(n: int, args) -> None:
-    """Refuse a size above the --unsafe-max-n limit before any work starts."""
+    """Refuse a negative size, or one above the --unsafe-max-n limit, before any work starts."""
+    if n < 0:
+        raise LLTError(f"size {n} is negative")
     if n > args.unsafe_max_n:
         raise LLTError(f"size {n} exceeds the limit; raise --unsafe-max-n")
 
@@ -150,14 +152,11 @@ def _cmd_equality(args, started):
 
 def _cmd_verify(args, started):
     _check_size(args.max_n, args)
-    if args.max_n > SIZE_BOUND:
-        # the relation suites take no bound, so --unsafe-max-n cannot lift theirs
-        raise LLTError(f"size {args.max_n} exceeds the limit {SIZE_BOUND} of the relation suites")
     sizes = range(1, args.max_n + 1)
     if args.suite == "all":
-        reports = [rep for n in sizes for rep in all_suites(n)]
+        reports = [rep for n in sizes for rep in all_suites(n, bound=args.unsafe_max_n)]
     else:
-        reports = [SUITES[args.suite](n) for n in sizes]
+        reports = [SUITES[args.suite](n, bound=args.unsafe_max_n) for n in sizes]
     merged: dict[str, dict] = {}
     for rep in reports:
         agg = merged.setdefault(rep.suite, {"instances": 0, "failures": []})

@@ -42,7 +42,7 @@ class DiagonalOnMainDiagonal(InvalidPath):
 
 
 class InvalidArgument(LLTError, ValueError):
-    """An argument outside a function's domain: a malformed partition or a size below 1."""
+    """An argument outside a function's domain: a malformed partition or a negative size."""
 
 
 class PointNotOnPath(LLTError):

@@ -29,6 +29,8 @@ def nabla_e(n: int, bound: int = SIZE_BOUND) -> SymFunc:
     q is carried by the path polynomials, t by the bounce weight; the
     result is returned in the e-basis.
     """
+    if n < 0:
+        raise InvalidArgument(f"nabla_e needs n >= 0, got {n}")
     if n > bound:
         raise BoundExceeded(f"nabla_e({n}) exceeds bound {bound}")
     total = SymFunc.zero("e")
@@ -152,6 +154,8 @@ def survey_e_coefficients(max_n: int, bound: int = SIZE_BOUND) -> SurveyReport:
     A conjectural property failing shows up as a False flag in the
     report, never as an exception.
     """
+    if max_n < 0:
+        raise InvalidArgument(f"survey needs max_n >= 0, got {max_n}")
     if max_n > bound:
         raise BoundExceeded(f"survey up to {max_n} exceeds bound {bound}")
     report = SurveyReport(max_n)

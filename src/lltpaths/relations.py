@@ -9,8 +9,17 @@ corrupted polynomial) can demonstrate their sensitivity.
 The relations are linear with coefficients in q alone, so each one is
 checked in the basis the route returns (m for ``llt`` and ``chromatic``),
 and the route's own memo is the value table every suite of a sweep
-shares.  Only a nonzero discrepancy is converted, and it is reported in
-the e-basis whatever the route's basis.
+shares.  The discrepancy lhs - sum(coeff * F(word)) of an instance is
+formed in one pass of ``symfunc.linear_combination``, with no
+intermediate SymFunc or CoeffQT per term.  Only a nonzero discrepancy is
+converted, and it is reported in the e-basis whatever the route's basis.
+
+A bounce decomposition U s1 s2 V s3 s4 W at a start point always has
+s3 s4 equal to the two steps around that point, so the bounce sweeps
+run ``bounce_at`` only at points whose steps are the s3 s4 they accept
+(de for the bounce relations, ee for the modular and six-term ones).
+Every suite takes a size ``bound`` (default ``SIZE_BOUND``), refuses a
+larger size before any work and passes the bound on to its routes.
 
 ``recursion_evaluate`` computes the same symmetric functions from the
 axioms alone: the initial condition on n d^k e, multiplicativity at
@@ -28,8 +37,17 @@ from .coeffring import ZERO, CoeffQT
 from .errors import BoundExceeded, NonTermination
 from .llt import chromatic, llt
 from .partitions import compositions
-from .schroeder import SIZE_BOUND, SchroederPath, bounce_at, enumerate_paths, parse, reverse
-from .symfunc import SymFunc
+from .schroeder import (
+    SIZE_BOUND,
+    BounceData,
+    Point,
+    SchroederPath,
+    bounce_at,
+    enumerate_paths,
+    parse,
+    reverse,
+)
+from .symfunc import SymFunc, linear_combination
 
 LltFn = Callable[[SchroederPath], SymFunc]
 
@@ -85,17 +103,25 @@ def _check_instance(
 ) -> None:
     """Record an instance lhs = sum(coeff * F(word)) and its discrepancy, if any."""
     report.instances += 1
-    acc = fn(parse(lhs_word))
-    for coeff, word in rhs_terms:
-        acc = acc - fn(parse(word)).scale(coeff)
+    lhs = fn(parse(lhs_word))
+    acc = linear_combination(
+        lhs.basis, [(1, lhs)] + [(-coeff, fn(parse(word))) for coeff, word in rhs_terms]
+    )
     _record(report, [lhs_word] + [w for _, w in rhs_terms], point, acc)
 
 
-def verify_unicellular(n: int, llt_fn: LltFn | None = None) -> RelationReport:
+def _route(n: int, llt_fn: LltFn | None, default: Callable[[SchroederPath, int], SymFunc], bound: int) -> LltFn:
+    """The polynomial route of a suite at size n; a size above `bound` is refused before any work."""
+    if n > bound:
+        raise BoundExceeded(f"size {n} exceeds bound {bound}")
+    return llt_fn or (lambda p: default(p, bound))
+
+
+def verify_unicellular(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """F_{U n e V} - F_{U e n V} = (q - 1) F_{U d V} over all U d V of size n."""
-    fn = llt_fn or llt
+    fn = _route(n, llt_fn, llt, bound)
     report = RelationReport("unicellular")
-    for p in enumerate_paths(n):
+    for p in enumerate_paths(n, bound=bound):
         word = p.word
         for i, step in enumerate(word):
             if step != "d":
@@ -105,7 +131,23 @@ def verify_unicellular(n: int, llt_fn: LltFn | None = None) -> RelationReport:
     return report
 
 
-def _bounce_instances(n: int, kinds: tuple[str, ...], single_point: bool, v_nd_only: bool) -> Iterator[tuple[str, tuple[int, int], str, tuple[str, str, str, str, str]]]:
+def _bounce_points(p: SchroederPath, s34: str) -> Iterator[tuple[Point, BounceData]]:
+    """(point, bounce data) at every point (x, z) of p with 1 <= x and x + 1 < z
+    whose bounce decomposition exists and has s3 s4 = s34.
+
+    s3 s4 is always the pair of steps around the start point, word[i-1:i+1]
+    at path index i, so a point whose two steps differ from s34 is skipped
+    without running its bounce path.
+    """
+    word = p.word
+    for i, (x, z) in enumerate(p.points()):
+        if 1 <= x and x + 1 < z and word[i - 1 : i + 1] == s34:
+            data = bounce_at(p, (x, z))
+            if data.decomposition is not None:
+                yield (x, z), data
+
+
+def _bounce_instances(paths: list[SchroederPath], kinds: tuple[str, ...], single_point: bool, v_nd_only: bool) -> Iterator[tuple[str, Point, str, tuple[str, str, str, str, str]]]:
     """Yield (word, point, st, decomposition) for admissible bounce instances.
 
     An instance requires the bounce decomposition at a point (x, z) with
@@ -113,15 +155,10 @@ def _bounce_instances(n: int, kinds: tuple[str, ...], single_point: bool, v_nd_o
     optionally the bounce path must have a single bounce point and the
     middle segment must avoid east steps.
     """
-    for p in enumerate_paths(n):
-        for (x, z) in p.points():
-            if not (1 <= x and x + 1 < z):
-                continue
-            data = bounce_at(p, (x, z))
-            if data.decomposition is None:
-                continue
+    for p in paths:
+        for point, data in _bounce_points(p, "de"):
             u, s12, v, s34, w = data.decomposition
-            if s34 != "de" or s12 not in kinds:
+            if s12 not in kinds:
                 continue
             if single_point and len(data.bounce_points) != 1:
                 continue
@@ -129,7 +166,7 @@ def _bounce_instances(n: int, kinds: tuple[str, ...], single_point: bool, v_nd_o
                 continue
             if v_nd_only and ("e" in v):
                 continue
-            yield p.word, (x, z), s12, data.decomposition
+            yield p.word, point, s12, data.decomposition
 
 
 def _bounce_identity(st: str, decomposition) -> list[tuple[CoeffQT, str]]:
@@ -150,11 +187,12 @@ def _run_bounce_suite(
     single_point: bool,
     v_nd_only: bool,
     llt_fn: LltFn | None,
+    bound: int,
     reversed_paths: bool = False,
 ) -> RelationReport:
-    fn = llt_fn or llt
+    fn = _route(n, llt_fn, llt, bound)
     report = RelationReport(name)
-    for word, point, st, decomposition in _bounce_instances(n, kinds, single_point, v_nd_only):
+    for word, point, st, decomposition in _bounce_instances(enumerate_paths(n, bound=bound), kinds, single_point, v_nd_only):
         terms = _bounce_identity(st, decomposition)
         lhs = word
         if reversed_paths:
@@ -164,34 +202,34 @@ def _run_bounce_suite(
     return report
 
 
-def verify_bounce_A(n: int, llt_fn: LltFn | None = None) -> RelationReport:
+def verify_bounce_A(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """Single-bounce-point relations with s1 s2 in {nn, dn} and V in {n,d}*."""
-    return _run_bounce_suite("bounceA", n, ("nn", "dn"), True, True, llt_fn)
+    return _run_bounce_suite("bounceA", n, ("nn", "dn"), True, True, llt_fn, bound)
 
 
-def verify_bounce_B(n: int, llt_fn: LltFn | None = None) -> RelationReport:
+def verify_bounce_B(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """Single-bounce-point relations with s1 s2 in {nn, nd} and V in {n,d}*."""
-    return _run_bounce_suite("bounceB", n, ("nn", "nd"), True, True, llt_fn)
+    return _run_bounce_suite("bounceB", n, ("nn", "nd"), True, True, llt_fn, bound)
 
 
-def verify_bounce_nd(n: int, llt_fn: LltFn | None = None) -> RelationReport:
+def verify_bounce_nd(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """The two-term nd relation with coefficients (q-1) and q."""
-    return _run_bounce_suite("bounceND", n, ("nd",), True, True, llt_fn)
+    return _run_bounce_suite("bounceND", n, ("nd",), True, True, llt_fn, bound)
 
 
-def verify_generalized_bounce(n: int, llt_fn: LltFn | None = None) -> RelationReport:
+def verify_generalized_bounce(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """The three bounce relations at points whose bounce path has >= 2 bounce points."""
-    return _run_bounce_suite("generalized", n, ("nn", "dn", "nd"), False, True, llt_fn)
+    return _run_bounce_suite("generalized", n, ("nn", "dn", "nd"), False, True, llt_fn, bound)
 
 
-def verify_extended_bounce(n: int, llt_fn: LltFn | None = None) -> RelationReport:
+def verify_extended_bounce(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """Optional wider scope: single-bounce relations with east steps allowed in V.
 
     Reported separately; not part of the acceptance gate.
     """
-    fn = llt_fn or llt
+    fn = _route(n, llt_fn, llt, bound)
     report = RelationReport("extended")
-    for word, point, st, decomposition in _bounce_instances(n, ("nn", "dn", "nd"), True, False):
+    for word, point, st, decomposition in _bounce_instances(enumerate_paths(n, bound=bound), ("nn", "dn", "nd"), True, False):
         if "e" not in decomposition[2]:
             continue  # covered by the standard suites
         terms = _bounce_identity(st, decomposition)
@@ -223,14 +261,11 @@ def _modular_sweep(report: RelationReport, fn: LltFn, paths: list[SchroederPath]
     """
     for p in paths:
         word = p.word
-        for (x, z) in p.points():
-            if not (1 <= x and x + 1 < z):
+        for (x, z), data in _bounce_points(p, "ee"):
+            if len(data.bounce_points) != 1:
                 continue
-            data = bounce_at(p, (x, z))
-            if data.decomposition is None or len(data.bounce_points) != 1:
-                continue
-            u, s12, vseg, s34, w = data.decomposition
-            if s34 != "ee" or not vseg or vseg[-1] != "n":
+            u, s12, vseg, _s34, w = data.decomposition
+            if not vseg or vseg[-1] != "n":
                 continue
             v = vseg[:-1]
             if s12 == "nn":
@@ -250,33 +285,34 @@ def _modular_sweep(report: RelationReport, fn: LltFn, paths: list[SchroederPath]
                 _check_instance(report, fn, (x, z), plus[0], terms)
 
 
-def verify_dyck_relations(n: int, llt_fn: LltFn | None = None) -> RelationReport:
+def verify_dyck_relations(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """The modular relation and the six-term relation on all admissible points."""
+    fn = _route(n, llt_fn, llt, bound)
     report = RelationReport("dyck")
-    _modular_sweep(report, llt_fn or llt, enumerate_paths(n))
+    _modular_sweep(report, fn, enumerate_paths(n, bound=bound))
     return report
 
 
-def verify_dual_bounce(n: int, llt_fn: LltFn | None = None) -> RelationReport:
+def verify_dual_bounce(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """Every bounce-relation instance holds with all paths reversed."""
     report = RelationReport("dual")
     for kinds, single in ((("nn", "dn"), True), (("nd",), True), (("nn", "dn", "nd"), False)):
-        sub = _run_bounce_suite("dual", n, kinds, single, True, llt_fn, reversed_paths=True)
+        sub = _run_bounce_suite("dual", n, kinds, single, True, llt_fn, bound, reversed_paths=True)
         report.instances += sub.instances
         report.failures.extend(sub.failures)
     return report
 
 
-def verify_chromatic_relations(n: int, llt_fn: LltFn | None = None) -> RelationReport:
+def verify_chromatic_relations(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """Dyck relations, multiplicativity, and the path-graph initial condition
     for the chromatic quasisymmetric functions."""
-    fn = llt_fn or chromatic
+    fn = _route(n, llt_fn, chromatic, bound)
     report = RelationReport("chromatic")
-    _modular_sweep(report, fn, enumerate_paths(n, dyck_only=True))
+    _modular_sweep(report, fn, enumerate_paths(n, dyck_only=True, bound=bound))
     # multiplicativity on concatenations
     for k in range(1, n):
-        for left in enumerate_paths(k, dyck_only=True):
-            for right in enumerate_paths(n - k, dyck_only=True):
+        for left in enumerate_paths(k, dyck_only=True, bound=bound):
+            for right in enumerate_paths(n - k, dyck_only=True, bound=bound):
                 report.instances += 1
                 whole = left.word + right.word
                 acc = fn(parse(whole)) - fn(left) * fn(right)
@@ -286,7 +322,7 @@ def verify_chromatic_relations(n: int, llt_fn: LltFn | None = None) -> RelationR
         k = n - 1
         word = "n" + "ne" * k + "e"
         report.instances += 1
-        bridged = dyck_path_graph_formula(k).pleth_q_minus_1()
+        bridged = dyck_path_graph_formula(k, bound).pleth_q_minus_1()
         divisor = (Q - 1) ** n
         bridged = bridged.map_coeffs(lambda c: c.exact_div(divisor))
         value = fn(parse(word))
@@ -309,8 +345,9 @@ SUITES = {
 }
 
 
-def all_suites(n: int, include_extended: bool = False) -> list[RelationReport]:
-    return [fn(n) for name, fn in SUITES.items() if include_extended or name != "extended"]
+def all_suites(n: int, include_extended: bool = False, bound: int = SIZE_BOUND) -> list[RelationReport]:
+    """Every suite at size n, each refusing a size above `bound` before any work."""
+    return [fn(n, bound=bound) for name, fn in SUITES.items() if include_extended or name != "extended"]
 
 
 # -- the axiomatic evaluator ----------------------------------------------------

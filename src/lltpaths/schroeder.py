@@ -179,6 +179,8 @@ def parse(text: str) -> SchroederPath:
 
 def enumerate_paths(n: int, dyck_only: bool = False, bound: int = SIZE_BOUND) -> list[SchroederPath]:
     """All Schroeder paths of size n, sorted by word (so deterministic)."""
+    if n < 0:
+        raise InvalidArgument(f"enumerate_paths needs n >= 0, got {n}")
     if n > bound:
         raise BoundExceeded(f"enumerate_paths({n}) exceeds bound {bound}")
     words: list[str] = []

@@ -16,8 +16,11 @@ Every basis->m matrix is integral, and so are the inverses for e, h and
 s; matrix entries are stored as `int` where integral, so only the m->p
 inverse (the 1/z_lambda factors) carries `Fraction` entries.
 
-Degrees may be mixed inside one SymFunc; every graded slice converts
-independently.
+A conversion is one sum of scalar * transition row, formed by
+`linear_combination`, the accumulation kernel that the relation checks
+use too: it adds raw {(q, t): coefficient} maps per partition and builds
+each `CoeffQT` of the result once, in canonical form.  Each term finds
+the rows of its own degree, so degrees may be mixed inside one SymFunc.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
-from .coeffring import ZERO, CoeffQT, Rational
+from .coeffring import ZERO, CoeffQT, Exponents, Rational
 from .errors import LLTError
 from .partitions import (
     DEGREE_BOUND,
@@ -41,7 +44,7 @@ BASES = ("m", "e", "h", "p", "s")
 ScalarLike = Union[int, Fraction, CoeffQT]
 
 _M_MUL_CACHE: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-_TRANSITION_CACHE: dict[tuple[str, int], tuple[list[Partition], list[list[int]], list[list[Rational]]]] = {}
+_TRANSITION_CACHE: dict[tuple[str, int], tuple[dict[Partition, dict[Partition, Rational]], dict[Partition, dict[Partition, Rational]]]] = {}
 
 
 def _coeff(v: ScalarLike) -> CoeffQT:
@@ -88,9 +91,6 @@ class SymFunc:
 
     def degrees(self) -> list[int]:
         return sorted({sum(lam) for lam in self.coeffs})
-
-    def graded_slice(self, d: int) -> dict[Partition, CoeffQT]:
-        return {lam: c for lam, c in self.coeffs.items() if sum(lam) == d}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -164,21 +164,8 @@ class SymFunc:
             raise ValueError(f"unknown basis {target!r}")
         if target == self.basis:
             return self
-        out: dict[Partition, CoeffQT] = {}
-        for d in self.degrees():
-            slice_ = self.graded_slice(d)
-            m_vec = slice_ if self.basis == "m" else _to_m(self.basis, d, slice_)
-            if target == "m":
-                converted = m_vec
-            else:
-                converted = _from_m(target, d, m_vec)
-            for lam, c in converted.items():
-                if not c.is_zero():
-                    out[lam] = c
-        res = SymFunc.__new__(SymFunc)
-        res.basis = target
-        res.coeffs = out
-        return res
+        m = self if self.basis == "m" else _to_m(self)
+        return m if target == "m" else _from_m(target, m)
 
     def coefficient(self, basis: str, lam: Iterable[int]) -> CoeffQT:
         """The lam-coefficient of this function expressed in the given basis."""
@@ -297,6 +284,63 @@ class SymFunc:
         return f"SymFunc({self})"
 
 
+# -- the accumulation kernel -----------------------------------------------------
+
+
+Vector = Union[SymFunc, Mapping[Partition, Union[CoeffQT, Rational]]]
+
+
+def linear_combination(basis: str, terms: Iterable[tuple[ScalarLike, Vector]]) -> SymFunc:
+    """The sum of scalar * vector over the terms, as a SymFunc in `basis`.
+
+    A vector is a SymFunc, which must be in `basis` (LLTError otherwise),
+    or a plain {partition: entry} map read in `basis`, with `CoeffQT` or
+    rational entries (a transition row).  The sum is accumulated on raw
+    {partition: {(q, t): coefficient}} maps and each `CoeffQT` of the
+    result is built once, at the end, in canonical form: no zero term, no
+    zero partition, an integral coefficient stored as an `int`.
+    """
+    acc: dict[Partition, dict[Exponents, Rational]] = {}
+    for scalar, vector in terms:
+        if vector.__class__ is SymFunc:
+            if vector.basis != basis:
+                raise LLTError(f"basis mismatch: {basis} vs {vector.basis}; convert explicitly")
+            vector = vector.coeffs
+        s_terms = scalar.terms if scalar.__class__ is CoeffQT else {(0, 0): scalar}
+        # a constant scalar leaves every exponent where it is
+        constant = s_terms.get((0, 0)) if len(s_terms) == 1 else None
+        for lam, v in vector.items():
+            row = acc.get(lam)
+            if row is None:
+                row = acc[lam] = {}
+            if v.__class__ is not CoeffQT:
+                for k, a in s_terms.items():
+                    row[k] = row.get(k, 0) + a * v
+            elif constant is not None:
+                for k, b in v.terms.items():
+                    row[k] = row.get(k, 0) + constant * b
+            else:
+                for (aq, at), a in s_terms.items():
+                    for (bq, bt), b in v.terms.items():
+                        k = (aq + bq, at + bt)
+                        row[k] = row.get(k, 0) + a * b
+    out: dict[Partition, CoeffQT] = {}
+    for lam, row in acc.items():
+        clean = {
+            k: v if v.__class__ is int or v.denominator != 1 else v.numerator
+            for k, v in row.items()
+            if v
+        }
+        if clean:
+            c = CoeffQT.__new__(CoeffQT)
+            c.terms = clean
+            out[lam] = c
+    res = SymFunc.__new__(SymFunc)
+    res.basis = basis
+    res.coeffs = out
+    return res
+
+
 # -- monomial-basis multiplication --------------------------------------------
 
 
@@ -368,6 +412,8 @@ def _m_mul(f: dict[Partition, int], g: dict[Partition, int]) -> dict[Partition, 
 
 def _expand_in_m(basis: str, lam: Partition) -> dict[Partition, int]:
     """Monomial expansion of a single basis element b_lam (integer coefficients)."""
+    if basis == "m":
+        return {lam: 1}
     if basis == "s":
         return {
             mu: kostka(lam, mu)
@@ -410,9 +456,12 @@ def _invert(mat: list[list[int]]) -> list[list[Rational]]:
 
 
 def _transition(basis: str, d: int):
-    """(partitions of d, matrix basis->m, matrix m->basis), cached per degree.
+    """The transition rows of degree d, cached per degree.
 
-    Cache inserts are idempotent, so concurrent construction is harmless.
+    Returns (to_m, from_m): to_m[lam] is the m-expansion of b_lam and
+    from_m[mu] the expansion of m_mu in the basis, each a sparse
+    {partition: coefficient} row.  Cache inserts are idempotent, so
+    concurrent construction is harmless.
     """
     key = (basis, d)
     cached = _TRANSITION_CACHE.get(key)
@@ -429,43 +478,27 @@ def _transition(basis: str, d: int):
             row[index[mu]] = v
         mat.append(row)
     inv = _invert(mat)
-    result = (parts, mat, inv)
+
+    def sparse(rows: list[list[Rational]]) -> dict[Partition, dict[Partition, Rational]]:
+        return {lam: {mu: v for mu, v in zip(parts, row) if v} for lam, row in zip(parts, rows)}
+
+    result = (sparse(mat), sparse(inv))
     _TRANSITION_CACHE[key] = result
     return result
 
 
-def _to_m(basis: str, d: int, coeffs: dict[Partition, CoeffQT]) -> dict[Partition, CoeffQT]:
-    parts, mat, _ = _transition(basis, d)
-    index = {lam: i for i, lam in enumerate(parts)}
-    out: dict[Partition, CoeffQT] = {}
-    for lam, c in coeffs.items():
-        row = mat[index[lam]]
-        for j, v in enumerate(row):
-            if v:
-                s = out.get(parts[j], ZERO) + c * v
-                if s.is_zero():
-                    out.pop(parts[j], None)
-                else:
-                    out[parts[j]] = s
-    return out
+def _to_m(f: SymFunc) -> SymFunc:
+    """f in the monomial basis: the sum of c * (m-expansion of b_lam) over its terms."""
+    return linear_combination(
+        "m", [(c, _transition(f.basis, sum(lam))[0][lam]) for lam, c in f.coeffs.items()]
+    )
 
 
-def _from_m(basis: str, d: int, m_coeffs: dict[Partition, CoeffQT]) -> dict[Partition, CoeffQT]:
-    parts, _, inv = _transition(basis, d)
-    index = {lam: i for i, lam in enumerate(parts)}
-    # coefficient vector in basis = m-vector times inverse matrix
-    out: dict[Partition, CoeffQT] = {}
-    for mu, c in m_coeffs.items():
-        col = index[mu]
-        for i in range(len(parts)):
-            v = inv[col][i]
-            if v:
-                s = out.get(parts[i], ZERO) + c * v
-                if s.is_zero():
-                    out.pop(parts[i], None)
-                else:
-                    out[parts[i]] = s
-    return out
+def _from_m(basis: str, f: SymFunc) -> SymFunc:
+    """A function given in the m-basis, expressed in `basis` through the inverse rows."""
+    return linear_combination(
+        basis, [(c, _transition(basis, sum(mu))[1][mu]) for mu, c in f.coeffs.items()]
+    )
 
 
 # -- Jacobi-Trudi straightening -------------------------------------------------

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from lltpaths import relations
 from lltpaths.cli import main
 from lltpaths.harmonics import hall_littlewood
 from lltpaths.llt import chromatic, llt
-from lltpaths.schroeder import parse
+from lltpaths.schroeder import SIZE_BOUND, parse
 from lltpaths.schur import elw_schur, kostka_schur
 from lltpaths.symfunc import SymFunc
 
@@ -228,6 +229,12 @@ DYCK_8 = "nnenenenenenenee"
         ["hl", "-1"],
         ["hl", "2", "3"],
         ["nabla-p", "0"],
+        # a negative size
+        ["paths", "-1"],
+        ["nabla-e", "-2"],
+        ["equality", "--max-n", "-1"],
+        ["verify", "--max-n", "-1"],
+        ["survey", "--max-n", "-1"],
     ],
 )
 def test_every_subcommand_refuses_limit_plus_one(capsys, argv):
@@ -251,11 +258,35 @@ def test_unsafe_max_n_reaches_the_library(capsys, argv, library):
     assert SymFunc.from_obj(json.loads(out)["result"]) == library()
 
 
-def test_verify_refuses_sizes_its_suites_cannot_reach(capsys):
-    code = main(["verify", "--max-n", "8", "--unsafe-max-n", "8"])
+def _stub_suites(monkeypatch, calls):
+    """Replace every relation suite by a stub that records (suite, n, bound) and passes."""
+    for name in relations.SUITES:
+        def stub(n, llt_fn=None, bound=SIZE_BOUND, name=name):
+            calls.append((name, n, bound))
+            return relations.RelationReport(name)
+
+        monkeypatch.setitem(relations.SUITES, name, stub)
+
+
+def test_verify_refuses_size_8_without_the_flag(capsys, monkeypatch):
+    calls = []
+    _stub_suites(monkeypatch, calls)
+    code = main(["verify", "--max-n", "8"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "exceeds the limit" in captured.err
+    assert calls == []
+
+
+@pytest.mark.parametrize("suite", ["all", "dyck"])
+def test_verify_unsafe_max_n_reaches_the_suites(capsys, monkeypatch, suite):
+    calls = []
+    _stub_suites(monkeypatch, calls)
+    code, out = run(capsys, "verify", "--suite", suite, "--max-n", "8", "--unsafe-max-n", "8", "--json")
+    assert code == 0
+    names = [name for name in relations.SUITES if name != "extended"] if suite == "all" else [suite]
+    assert calls == [(name, n, 8) for n in range(1, 9) for name in names]
+    assert [s["suite"] for s in json.loads(out)["result"]["suites"]] == names
 
 
 def test_unsafe_max_n_above_the_degree_bound_is_a_usage_error():

@@ -1,7 +1,7 @@
 import pytest
 
 from lltpaths.coeffring import CoeffQT
-from lltpaths.errors import BoundExceeded
+from lltpaths.errors import BoundExceeded, InvalidArgument
 from lltpaths.harmonics import (
     hall_littlewood,
     nabla_e,
@@ -43,6 +43,12 @@ def test_nabla_p_table_row_3():
 def test_nabla_p_bound():
     with pytest.raises(BoundExceeded):
         nabla_p(8)
+
+
+@pytest.mark.parametrize("call", [lambda: nabla_e(-2), lambda: survey_e_coefficients(-1)])
+def test_negative_sizes_are_refused(call):
+    with pytest.raises(InvalidArgument):
+        call()
 
 
 def test_nabla_e_small():

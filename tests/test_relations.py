@@ -1,3 +1,4 @@
+import inspect
 import sys
 
 import pytest
@@ -22,7 +23,7 @@ from lltpaths.relations import (
     verify_generalized_bounce,
     verify_unicellular,
 )
-from lltpaths.schroeder import area, enumerate_paths, parse
+from lltpaths.schroeder import area, bounce_at, enumerate_paths, parse
 from lltpaths.symfunc import SymFunc
 
 Q = CoeffQT.q()
@@ -188,6 +189,91 @@ def test_failure_records_do_not_depend_on_the_route_basis(name):
         in_e = SUITES[name](n, llt_fn=lambda p: route(p).convert("e") + _golden_weight(p)).to_obj()
         assert in_m == in_e, (name, n)
         assert bool(in_m["failures"]) == bool(in_m["instances"]), (name, n)
+
+
+def _bounce_everywhere(p):
+    """(point, bounce data) at every admissible point of p with a decomposition,
+    bouncing at each one: the unfiltered loop the prefilter must agree with."""
+    for (x, z) in p.points():
+        if 1 <= x and x + 1 < z:
+            data = bounce_at(p, (x, z))
+            if data.decomposition is not None:
+                yield (x, z), data
+
+
+# (kinds, single_point, v_nd_only) of bounceA, bounceB, bounceND, generalized
+# (and the three scopes of dual), and extended.
+BOUNCE_SCOPES = [
+    (("nn", "dn"), True, True),
+    (("nn", "nd"), True, True),
+    (("nd",), True, True),
+    (("nn", "dn", "nd"), False, True),
+    (("nn", "dn", "nd"), True, False),
+]
+
+
+def test_bounce_prefilter_keeps_every_instance(monkeypatch):
+    seen = []
+    monkeypatch.setattr(relations, "_check_instance", lambda report, fn, point, lhs, terms: seen.append(point))
+    for n in range(1, 7):
+        paths = enumerate_paths(n)
+        everywhere = {p.word: list(_bounce_everywhere(p)) for p in paths}
+        for kinds, single_point, v_nd_only in BOUNCE_SCOPES:
+            want = set()
+            for word, points in everywhere.items():
+                for point, data in points:
+                    u, s12, v, s34, w = data.decomposition
+                    if s34 != "de" or s12 not in kinds or (v_nd_only and "e" in v):
+                        continue
+                    if (len(data.bounce_points) == 1) == single_point:
+                        want.add((word, point, s12, data.decomposition))
+            got = list(relations._bounce_instances(paths, kinds, single_point, v_nd_only))
+            assert len(got) == len(set(got)) and set(got) == want, (n, kinds, single_point, v_nd_only)
+
+        # the modular sweep: the points at which it checks an instance, path by path
+        for p in paths:
+            seen.clear()
+            relations._modular_sweep(relations.RelationReport("dyck"), llt, [p])
+            want = []
+            for point, data in everywhere[p.word]:
+                u, s12, v, s34, w = data.decomposition
+                if s34 != "ee" or len(data.bounce_points) != 1 or not v.endswith("n"):
+                    continue
+                if s12 == "nn" or (s12 == "en" and u.endswith("n")):
+                    want.append(point)
+            assert seen == want, p.word
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started above the bound")
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suites_refuse_a_size_above_their_bound_before_work(monkeypatch, name):
+    monkeypatch.setattr(relations, "enumerate_paths", _refuse)
+    with pytest.raises(BoundExceeded):
+        SUITES[name](8, llt_fn=_refuse)
+    with pytest.raises(BoundExceeded):
+        SUITES[name](4, bound=3)
+    with pytest.raises(BoundExceeded):
+        all_suites(4, bound=3)
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_suites_pass_their_bound_to_every_route(monkeypatch, name):
+    seen = set()
+    for callee in ("enumerate_paths", "llt", "chromatic", "dyck_path_graph_formula"):
+        original = getattr(relations, callee)
+        signature = inspect.signature(original)
+
+        def recording(*args, callee=callee, original=original, signature=signature, **kwargs):
+            seen.add((callee, signature.bind(*args, **kwargs).arguments.get("bound")))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(relations, callee, recording)
+    assert SUITES[name](5, bound=9).passed
+    assert {bound for _, bound in seen} == {9}
+    assert ("chromatic" if name == "chromatic" else "llt", 9) in seen
 
 
 def test_dyck_path_graph_formula():

@@ -5,6 +5,7 @@ from lltpaths.errors import (
     BoundExceeded,
     DiagonalOnMainDiagonal,
     HasDiagonal,
+    InvalidArgument,
     InvalidStep,
     PointNotOnPath,
     SizeMismatch,
@@ -50,6 +51,9 @@ def test_enumerate_dyck_subset():
     assert len(enumerate_paths(3, dyck_only=True)) == 5
     with pytest.raises(BoundExceeded):
         enumerate_paths(9)
+    for dyck_only in (False, True):
+        with pytest.raises(InvalidArgument):
+            enumerate_paths(-1, dyck_only=dyck_only)
 
 
 def test_reverse():

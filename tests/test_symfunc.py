@@ -2,9 +2,13 @@ import random
 
 from fractions import Fraction
 
+import pytest
+
+from lltpaths import symfunc
 from lltpaths.coeffring import CoeffQT
+from lltpaths.errors import LLTError
 from lltpaths.partitions import kostka, partitions_of
-from lltpaths.symfunc import SymFunc, straighten_schur
+from lltpaths.symfunc import BASES, SymFunc, linear_combination, straighten_schur
 
 Q = CoeffQT.q()
 
@@ -161,3 +165,92 @@ def test_conversions_keep_integral_coefficients_as_int():
     assert p.coeffs == {(1, 1): CoeffQT.from_rational(Fraction(1, 2)), (2,): CoeffQT.from_rational(Fraction(-1, 2))}
     back = p.convert("e")
     assert back == SymFunc("e", {(2,): 1}) and type(back.coeffs[(2,)].terms[(0, 0)]) is int
+
+
+def random_laurent(rng):
+    """A CoeffQT of up to three terms: negative exponents in q and t, int or Fraction values."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        v = rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(2, 4))])
+        terms[(rng.randint(-2, 3), rng.randint(-2, 2))] = v
+    return CoeffQT(terms)
+
+
+def random_laurent_symfunc(rng, basis, max_degree=4):
+    return SymFunc(
+        basis,
+        {lam: random_laurent(rng) for d in range(max_degree + 1) for lam in partitions_of(d) if rng.random() < 0.4},
+    )
+
+
+def assert_canonical(f):
+    for lam, c in f.coeffs.items():
+        assert c.terms, lam
+        for v in c.terms.values():
+            assert v != 0 and (type(v) is int or v.denominator > 1), (lam, c)
+
+
+def test_linear_combination_equals_the_symfunc_chain():
+    rng = random.Random(5)
+    for _ in range(60):
+        basis = rng.choice(BASES)
+        a = random_laurent_symfunc(rng, basis)
+        rest = [(rng.choice([random_laurent(rng), rng.randint(-2, 2), Fraction(1, 3)]), random_laurent_symfunc(rng, basis)) for _ in range(rng.randint(0, 4))]
+        if a.coeffs and rng.random() < 0.5:
+            # cancel one term of one partition, or a whole partition
+            lam, c = rng.choice(sorted(a.coeffs.items()))
+            key = rng.choice(sorted(c.terms))
+            part = CoeffQT({key: c.terms[key]}) if rng.random() < 0.5 else c
+            rest.append((1, SymFunc(basis, {lam: part})))
+        chain = a
+        for c, f in rest:
+            chain = chain - f.scale(c)
+        got = linear_combination(basis, [(1, a)] + [(-c, f) for c, f in rest])
+        assert got == chain
+        assert_canonical(got)
+
+
+def test_linear_combination_cancels_to_zero_and_to_int():
+    f = SymFunc("e", {(2,): CoeffQT({(1, -1): Fraction(1, 2), (0, 0): 3}), (1, 1): CoeffQT.q(-2)})
+    assert linear_combination("e", [(1, f), (-1, f)]).coeffs == {}
+    half = SymFunc("e", {(2,): CoeffQT({(1, -1): Fraction(1, 2)})})
+    got = linear_combination("e", [(1, f), (1, half), (CoeffQT.q(2), SymFunc("e", {(1, 1): -1}))])
+    assert got.coeffs == {(2,): CoeffQT({(1, -1): 1, (0, 0): 3}), (1, 1): CoeffQT.q(-2) - CoeffQT.q(2)}
+    assert type(got.coeffs[(2,)].terms[(1, -1)]) is int
+
+
+def test_linear_combination_reads_plain_rows_and_checks_the_basis():
+    c = CoeffQT({(1, 0): 2, (-1, 1): Fraction(1, 2)})
+    got = linear_combination("m", [(c, {(2,): 3, (1, 1): Fraction(-2, 3)}), (1, {(2,): c})])
+    assert got == SymFunc("m", {(2,): c * 4, (1, 1): c * Fraction(-2, 3)})
+    assert_canonical(got)
+    with pytest.raises(LLTError):
+        linear_combination("m", [(1, SymFunc.basis_element("e", (2,)))])
+
+
+def _per_term(basis, f, row):
+    """sum of c * row(lam) over the terms of f, one CoeffQT operation per entry."""
+    out = {}
+    for lam, c in f.coeffs.items():
+        for mu, v in row(lam).items():
+            s = out.get(mu, CoeffQT.zero()) + c * v
+            if s.is_zero():
+                out.pop(mu, None)
+            else:
+                out[mu] = s
+    return SymFunc(basis, out)
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_transitions_equal_the_per_term_reference(basis):
+    rng = random.Random(BASES.index(basis))
+    for _ in range(6):
+        f = random_laurent_symfunc(rng, basis, max_degree=5)
+        to_m = symfunc._to_m(f)
+        assert to_m == _per_term("m", f, lambda lam: symfunc._transition(basis, sum(lam))[0][lam])
+        g = random_laurent_symfunc(rng, "m", max_degree=5)
+        from_m = symfunc._from_m(basis, g)
+        assert from_m == _per_term(basis, g, lambda mu: symfunc._transition(basis, sum(mu))[1][mu])
+        assert_canonical(to_m)
+        assert_canonical(from_m)
+        assert symfunc._from_m(basis, to_m) == f
