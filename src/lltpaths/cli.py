@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="worker cap for the suites (results are identical for any value)",
+        help="accepted for interface stability and otherwise ignored: every run is single-threaded",
     )
     common.add_argument(
         "--unsafe-max-n",

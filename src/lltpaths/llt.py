@@ -14,12 +14,18 @@ prunes by the rule that each edge to a lower neighbour u carries:
 A content vector caps the number of vertices of each colour, and a leaf
 callback decides what each finished coloring contributes.
 ``content_coefficient``, ``coloring_weight_split`` and the permutation
-colorings of the Schur module run it.  ``llt`` and ``chromatic`` (every
-edge PROPER) instead run ``_m_expansion``, which builds all contents at
-once by adding one colour class at a time: a state is the set of coloured
-vertices and the class sizes so far.  ``llt`` tallies q^{asc(kappa)}
-x_kappa over the strict and free edges of the graph of a path, the
-vertical-strip polynomial in the monomial basis.
+colorings of the Schur module run it; the first two refuse a path above
+their size bound before any work.  ``llt`` and ``chromatic`` (every edge
+PROPER) instead run ``_m_expansion``, which builds all contents at once by
+adding one colour class at a time.  Its state is one int per set of
+coloured vertices: each partition of the number coloured (the class sizes
+so far) has a fixed slot in it, and a slot holds an ascent tally as a
+value at q = 2**width.  Digits are as wide as n!, which no count reaches,
+and slots hold one digit more than there are non-strict edges, so no carry
+crosses a digit or a slot.  Adding a class is then one shift and one add
+of ints (see `partition_slots` for the slot order that makes this work).
+``llt`` tallies q^{asc(kappa)} x_kappa over the strict and free edges of
+the graph of a path, the vertical-strip polynomial in the monomial basis.
 
 Orientations.  An orientation is a bitmask over the non-strict edges (a
 set bit points the edge upward); ``_hrv_labels`` computes the highest
@@ -46,7 +52,7 @@ from typing import Callable
 
 from .coeffring import CoeffQT
 from .errors import BoundExceeded, HasDiagonal, InvalidColoring
-from .partitions import partitions_of
+from .partitions import partition_slots, partitions_of
 from .schroeder import SIZE_BOUND, DecoratedGraph, SchroederPath, graph
 from .symfunc import SymFunc
 
@@ -186,17 +192,29 @@ def _m_expansion(lower, n: int) -> SymFunc:
     """The coloring sum in the m-basis: m_lam collects the colorings of content lam.
 
     A dynamic program that colours one class at a time, colour 1 first, for
-    every content at once.  A state is the set of vertices coloured so far
-    (bit v-1 for vertex v) and the weakly decreasing sizes of the classes
-    used so far.  The next class S, coloured one higher than every vertex
-    already coloured, may be any set of uncoloured vertices no larger than
-    the last class such that every strict lower neighbour of a vertex of S
-    is already coloured and no PROPER edge joins two vertices of S.  A
-    vertex of S rises above each of its non-strict lower neighbours that are
-    already coloured, one ascent each; an ascent on an edge is counted when
-    its upper end is coloured, so never twice.  The states that colour every
-    vertex give the m-coefficients.  No count exceeds n!, which sets the
-    digit width of the tallies (see `_digits`).
+    every content at once.  The next class S, coloured one higher than every
+    vertex already coloured, may be any set of uncoloured vertices such that
+    every strict lower neighbour of a vertex of S is already coloured and no
+    PROPER edge joins two vertices of S.  A vertex of S rises above each of
+    its non-strict lower neighbours that are already coloured, one ascent
+    each; an ascent on an edge is counted when its upper end is coloured, so
+    never twice.  Class sizes never increase, so the sizes so far form a
+    partition of the number m of coloured vertices, read largest first.
+
+    The state of a coloured set is one int.  Each partition of m has a slot
+    (`partition_slots`), and the slot holds the ascent tally of the
+    colorings with those class sizes, as a value at q = 2**width (see
+    `_digits`).  A class of size k may follow only the partitions whose
+    smallest part is at least k, a suffix of the slots, and appending k maps
+    that suffix in order onto the block of partitions of m+k whose smallest
+    part is k.  So a class of size k with a ascents adds
+    (value >> slot * lo[m][k]) << width * a to block k of its target, and a
+    target assembles its int from its blocks once, when its turn comes.
+
+    No carry crosses a digit or a slot: no count exceeds n!, whose bit
+    length is the digit width, and no coloring has more ascents than the
+    graph has non-strict edges, so a slot of that many digits plus one
+    holds any tally.
     """
     need = [0] * n  # strict lower neighbours, coloured lower than v
     rise = [0] * n  # non-strict lower neighbours, an ascent each when coloured lower
@@ -211,31 +229,56 @@ def _m_expansion(lower, n: int) -> SymFunc:
                 if rule == PROPER:
                     clash[v - 1] |= bit
     width = factorial(n).bit_length()
+    slot = width * (sum(r.bit_count() for r in rise) + 1)
+    # start[m][k]: the bit offset of slot lo[k] among the partitions of m, for k <= n
+    start = []
+    for m in range(n + 1):
+        lo = partition_slots(m)[1]
+        start.append([slot * i for i in lo] + [slot * lo[-1]] * (n - m - 1))
     everyone = (1 << n) - 1
-    # coloured set -> {class sizes: ascent tally}; a class is nonempty, so the
-    # coloured set grows as an int and one ascending pass visits every state
-    table: dict[int, dict[tuple[int, ...], int]] = {0: {(): 1}}
-    for coloured in range(everyone):
-        states = table.pop(coloured, None)
-        if states is None:
+    # coloured set -> {k: block k of its int}; a class is nonempty, so the
+    # coloured set grows as an int and one ascending pass visits every state.
+    # The empty set holds the empty partition, as a block at offset 0.
+    table: list[dict[int, int] | None] = [None] * (everyone + 1)
+    table[0] = {0: 1}
+    for coloured in range(everyone + 1):
+        blocks = table[coloured]
+        if blocks is None:
             continue
-        cap = max(sizes[-1] if sizes else n for sizes in states)
-        classes = [(0, 0, 0)]  # (members, size, ascents)
+        table[coloured] = None
+        m = coloured.bit_count()
+        offsets = start[m]
+        value = 0
+        for k, block in blocks.items():
+            value += block << offsets[k]
+        suffix = [0]  # suffix[k]: the slots that a class of size k may follow
+        for offset in offsets[1 : n + 1 - m]:
+            tail = value >> offset
+            if not tail:
+                break
+            suffix.append(tail)
+        cap = len(suffix) - 1
+        classes = [(0, 0, 0)]  # (members, size, width * ascents)
         for v in range(n):
             if coloured >> v & 1 or need[v] & ~coloured:
                 continue
-            bit, gain = 1 << v, (rise[v] & coloured).bit_count()
+            bit, gain = 1 << v, width * (rise[v] & coloured).bit_count()
             classes += [(s | bit, k + 1, a + gain) for (s, k, a) in classes if k < cap and not s & clash[v]]
-        by_size: list[list[tuple[dict, int]]] = [[] for _ in range(cap + 1)]
-        for members, k, a in classes[1:]:
-            by_size[k].append((table.setdefault(coloured | members, {}), width * a))
-        for sizes, value in states.items():
-            for k in range(1, (sizes[-1] if sizes else n) + 1):
-                key = sizes + (k,)
-                for target, shift in by_size[k]:
-                    target[key] = target.get(key, 0) + (value << shift)
-    final = table.pop(everyone)
-    return SymFunc("m", {lam: _q_poly(_digits(final[lam], width)) for lam in partitions_of(n) if lam in final})
+        for members, k, shift in classes[1:]:
+            members |= coloured
+            target = table[members]
+            if target is None:
+                table[members] = {k: suffix[k] << shift}
+            elif k in target:
+                target[k] += suffix[k] << shift
+            else:
+                target[k] = suffix[k] << shift
+    # the last state visited colours every vertex (one vertex per class, in
+    # order, is always a coloring), and its value holds the m-coefficients
+    order = partition_slots(n)[0]
+    mask = (1 << slot) - 1
+    tallies = {lam: value >> slot * i & mask for i, lam in enumerate(order)}
+    return SymFunc("m", {lam: _q_poly(_digits(tallies[lam], width)) for lam in partitions_of(n) if tallies[lam]})
 
 
 def llt(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
@@ -257,12 +300,15 @@ def llt(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     return out
 
 
-def content_coefficient(path: SchroederPath, content: tuple[int, ...]) -> CoeffQT:
+def content_coefficient(path: SchroederPath, content: tuple[int, ...], bound: int = SIZE_BOUND) -> CoeffQT:
     """Coefficient of the monomial x_1^c1 x_2^c2 ... in the coloring sum.
 
     Accepts arbitrary compositions, which makes the symmetry of the
-    coloring sum directly testable.
+    coloring sum directly testable.  Runs the backtrack, so a size above
+    `bound` is refused before any work.
     """
+    if path.size > bound:
+        raise BoundExceeded(f"content_coefficient on size {path.size} exceeds bound {bound}")
     return _q_poly(_ascent_tally(graph(path).lower_neighbors(), content))
 
 
@@ -459,14 +505,18 @@ def chromatic(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     return out
 
 
-def coloring_weight_split(path: SchroederPath, x: int):
+def coloring_weight_split(path: SchroederPath, x: int, bound: int = SIZE_BOUND):
     """Weight enumerators of colorings split by the comparison at (x, x+1).
 
     Colors run over [n].  Returns (lower, upper): dicts mapping a content
     vector to the ascent tally of the colorings with kappa(x) < kappa(x+1)
     resp. kappa(x) > kappa(x+1).  Used to check the swap-map identity.
+    The backtrack walks up to n^n colorings (all of them on a path with no
+    area), so a size above `bound` is refused before any work.
     """
     n = path.size
+    if n > bound:
+        raise BoundExceeded(f"coloring_weight_split on size {n} exceeds bound {bound}")
     y = x + 1
     lower: dict[tuple[int, ...], dict[int, int]] = {}
     upper: dict[tuple[int, ...], dict[int, int]] = {}

@@ -18,6 +18,7 @@ Composition = tuple[int, ...]
 DEGREE_BOUND = 12
 
 _PARTITIONS_CACHE: dict[int, tuple[Partition, ...]] = {}
+_SLOTS_CACHE: dict[int, tuple[tuple[Partition, ...], tuple[int, ...]]] = {}
 _KOSTKA_CACHE: dict[tuple[Partition, Partition], int] = {}
 
 
@@ -49,6 +50,29 @@ def partitions_of(n: int, bound: int = DEGREE_BOUND) -> list[Partition]:
         cached = tuple(out)
         _PARTITIONS_CACHE[n] = cached
     return list(cached)
+
+
+def partition_slots(m: int) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+    """The partitions of m in slot order, and lo: where each smallest-part suffix starts.
+
+    Slot order reads the parts of a partition smallest first and sorts those
+    sequences ascending, so (1^m) takes slot 0 and (m) the last slot.  The
+    partitions whose smallest part is at least k then form a suffix, which
+    starts at slot lo[k] for k = 0..m+1 (lo[m+1] is the number of
+    partitions; every lo of m = 0 is 0, since the empty partition has no
+    smallest part to fail the test).  Appending a part k maps that suffix,
+    in order, onto the block of partitions of m+k whose smallest part is k:
+    slots lo[k] up to the lo[k+1] of m+k.  Built on first use; one entry per
+    degree, and partitions_of refuses degrees above DEGREE_BOUND.
+    """
+    cached = _SLOTS_CACHE.get(m)
+    if cached is None:
+        order = tuple(sorted(partitions_of(m), key=lambda lam: lam[::-1]))
+        smallest = [lam[-1] for lam in order if lam]
+        lo = tuple(sum(1 for part in smallest if part < k) for k in range(m + 2))
+        cached = (order, lo)
+        _SLOTS_CACHE[m] = cached
+    return cached
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -147,26 +147,28 @@ def _bounce_points(p: SchroederPath, s34: str) -> Iterator[tuple[Point, BounceDa
                 yield (x, z), data
 
 
-def _bounce_instances(paths: list[SchroederPath], kinds: tuple[str, ...], single_point: bool, v_nd_only: bool) -> Iterator[tuple[str, Point, str, tuple[str, str, str, str, str]]]:
-    """Yield (word, point, st, decomposition) for admissible bounce instances.
+def _admissible(data: BounceData, kinds: tuple[str, ...], single_point: bool, v_nd_only: bool) -> bool:
+    """Whether a bounce decomposition with s3 s4 = de is an instance of a scope.
 
-    An instance requires the bounce decomposition at a point (x, z) with
-    x + 1 < z to end in s3 s4 = de with s1 s2 among the requested kinds;
-    optionally the bounce path must have a single bounce point and the
-    middle segment must avoid east steps.
+    Its s1 s2 must be among the requested kinds, its bounce path must have
+    a single bounce point or (when single_point is false) at least two,
+    and optionally its middle segment V must avoid east steps.
+    """
+    _u, s12, v, _s34, _w = data.decomposition
+    count = len(data.bounce_points)
+    return s12 in kinds and (count == 1 if single_point else count >= 2) and not (v_nd_only and "e" in v)
+
+
+def _bounce_instances(paths: list[SchroederPath], kinds: tuple[str, ...], single_point: bool, v_nd_only: bool) -> Iterator[tuple[str, Point, str, tuple[str, str, str, str, str]]]:
+    """Yield (word, point, st, decomposition) for the bounce instances of a scope.
+
+    An instance is a point (x, z) with x + 1 < z whose bounce decomposition
+    ends in s3 s4 = de and is `_admissible` for the scope.
     """
     for p in paths:
         for point, data in _bounce_points(p, "de"):
-            u, s12, v, s34, w = data.decomposition
-            if s12 not in kinds:
-                continue
-            if single_point and len(data.bounce_points) != 1:
-                continue
-            if not single_point and len(data.bounce_points) < 2:
-                continue
-            if v_nd_only and ("e" in v):
-                continue
-            yield p.word, point, s12, data.decomposition
+            if _admissible(data, kinds, single_point, v_nd_only):
+                yield p.word, point, data.decomposition[1], data.decomposition
 
 
 def _bounce_identity(st: str, decomposition) -> list[tuple[CoeffQT, str]]:
@@ -188,17 +190,11 @@ def _run_bounce_suite(
     v_nd_only: bool,
     llt_fn: LltFn | None,
     bound: int,
-    reversed_paths: bool = False,
 ) -> RelationReport:
     fn = _route(n, llt_fn, llt, bound)
     report = RelationReport(name)
     for word, point, st, decomposition in _bounce_instances(enumerate_paths(n, bound=bound), kinds, single_point, v_nd_only):
-        terms = _bounce_identity(st, decomposition)
-        lhs = word
-        if reversed_paths:
-            lhs = reverse(parse(lhs)).word
-            terms = [(c, reverse(parse(w)).word) for c, w in terms]
-        _check_instance(report, fn, point, lhs, terms)
+        _check_instance(report, fn, point, word, _bounce_identity(st, decomposition))
     return report
 
 
@@ -293,13 +289,30 @@ def verify_dyck_relations(n: int, llt_fn: LltFn | None = None, bound: int = SIZE
     return report
 
 
+# (kinds, single_point) of the scopes of the dual suite: those of bounceA,
+# bounceND and generalized, which share no instance
+_DUAL_SCOPES = ((("nn", "dn"), True), (("nd",), True), (("nn", "dn", "nd"), False))
+
+
 def verify_dual_bounce(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
-    """Every bounce-relation instance holds with all paths reversed."""
+    """Every bounce-relation instance holds with all paths reversed.
+
+    One pass over the paths sorts the instances into the three scopes, and
+    they are checked scope by scope, each in path order.
+    """
+    fn = _route(n, llt_fn, llt, bound)
     report = RelationReport("dual")
-    for kinds, single in ((("nn", "dn"), True), (("nd",), True), (("nn", "dn", "nd"), False)):
-        sub = _run_bounce_suite("dual", n, kinds, single, True, llt_fn, bound, reversed_paths=True)
-        report.instances += sub.instances
-        report.failures.extend(sub.failures)
+    scopes: list[list[tuple[SchroederPath, Point, tuple[str, str, str, str, str]]]] = [[] for _ in _DUAL_SCOPES]
+    for p in enumerate_paths(n, bound=bound):
+        for point, data in _bounce_points(p, "de"):
+            for scope, (kinds, single_point) in zip(scopes, _DUAL_SCOPES):
+                if _admissible(data, kinds, single_point, True):
+                    scope.append((p, point, data.decomposition))
+                    break
+    for scope in scopes:
+        for p, point, decomposition in scope:
+            terms = _bounce_identity(decomposition[1], decomposition)
+            _check_instance(report, fn, point, reverse(p).word, [(c, reverse(parse(w)).word) for c, w in terms])
     return report
 
 

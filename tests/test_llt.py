@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -390,3 +391,38 @@ def test_orientations_refuse_area_17():
     assert area(p) == 17
     with pytest.raises(BoundExceeded):
         orientations(p)
+
+
+def test_llt_and_chromatic_match_the_backtrack_at_size_8():
+    # wider digits (8! needs 16 bits) and wider slots than the oracles above reach
+    for word in ("n" * 8 + "e" * 8, "n" * 7 + "d" + "e" * 7, "nnndnnndeeeeee"):
+        p = parse(word)
+        f = llt(p, bound=8)
+        for lam in partitions_of(8):
+            assert f.coeffs.get(lam, CoeffQT.zero()) == content_coefficient(p, lam, bound=8), (word, lam)
+    p = parse("n" * 8 + "e" * 8)
+    lower = [[(u, PROPER) for (u, _) in nbrs] for nbrs in graph(p).lower_neighbors()]
+    f = chromatic(p, bound=8)
+    for lam in partitions_of(8):
+        assert f.coeffs.get(lam, CoeffQT.zero()) == _backtrack_coefficient(lower, lam), lam
+
+
+def test_backtrack_entry_points_refuse_a_large_size_before_any_work(monkeypatch):
+    llt_module = sys.modules["lltpaths.llt"]  # the package exports the function llt under the same name
+
+    def fail(*args):
+        raise AssertionError("the guard let work begin")
+
+    monkeypatch.setattr(llt_module, "coloring_backtrack", fail)
+    monkeypatch.setattr(llt_module, "graph", fail)
+    flat = parse("ne" * 8)  # size 8, no area: n^n colorings
+    assert flat.size == 8 and area(flat) == 0
+    with pytest.raises(BoundExceeded):
+        content_coefficient(flat, (8,))
+    with pytest.raises(BoundExceeded):
+        coloring_weight_split(flat, 1)
+    small = parse("nnee")
+    with pytest.raises(BoundExceeded):
+        content_coefficient(small, (2,), bound=1)
+    with pytest.raises(BoundExceeded):
+        coloring_weight_split(small, 1, bound=1)

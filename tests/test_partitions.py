@@ -2,9 +2,11 @@ import pytest
 
 from lltpaths.errors import BoundExceeded, SizeMismatch
 from lltpaths.partitions import (
+    DEGREE_BOUND,
     conjugate,
     dominates,
     kostka,
+    partition_slots,
     partitions_of,
     weak_compositions,
 )
@@ -54,3 +56,21 @@ def test_weak_compositions():
     assert len(weak_compositions(3, 3)) == 10
     assert weak_compositions(0, 0) == [()]
     assert weak_compositions(1, 0) == []
+
+
+def test_partition_slots_layout():
+    # the layout the packed coloring DP relies on, at every degree it accepts
+    for m in range(DEGREE_BOUND + 1):
+        order, lo = partition_slots(m)
+        assert sorted(order) == sorted(partitions_of(m)) and len(set(order)) == len(order)
+        assert order[0] == (1,) * m and len(lo) == m + 2 and lo[0] == 0 and lo[-1] == (len(order) if m else 0)
+        for k in range(m + 2):
+            # the partitions whose smallest part is at least k are exactly the slots from lo[k] on
+            assert [lam for lam in order if not lam or lam[-1] >= k] == list(order[lo[k] :]), (m, k)
+        for k in range(1, DEGREE_BOUND - m + 1):
+            # appending k maps that suffix, in order, onto the block of m+k with smallest part k
+            whole, starts = partition_slots(m + k)
+            suffix = order[lo[min(k, m + 1)] :]
+            assert [lam + (k,) for lam in suffix] == list(whole[starts[k] : starts[k + 1]]), (m, k)
+    with pytest.raises(BoundExceeded):
+        partition_slots(DEGREE_BOUND + 1)

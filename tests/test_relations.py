@@ -23,7 +23,7 @@ from lltpaths.relations import (
     verify_generalized_bounce,
     verify_unicellular,
 )
-from lltpaths.schroeder import area, bounce_at, enumerate_paths, parse
+from lltpaths.schroeder import SIZE_BOUND, area, bounce_at, enumerate_paths, parse, reverse
 from lltpaths.symfunc import SymFunc
 
 Q = CoeffQT.q()
@@ -319,3 +319,23 @@ def test_recursion_evaluate_matches_colorings():
     for n in range(1, 6):
         for p in enumerate_paths(n):
             assert recursion_evaluate(p) == llt(p).convert("e"), p.word
+
+
+def test_dual_one_pass_equals_the_three_scope_passes():
+    # the reference runs the scopes of bounceA, bounceND and generalized as three
+    # passes of the standard suites, through a route that reverses every path,
+    # and reverses the failure paths back
+    def corrupted(p):  # mixes two statistics, so every scope with instances fails
+        k = len(p.word) - len(p.word.lstrip("n"))
+        return llt(p) + SymFunc.basis_element("m", (p.size,), CoeffQT.q(k) * area(p))
+
+    for fn in (llt, corrupted):
+        for n in range(1, 7):
+            want = relations.RelationReport("dual")
+            for kinds, single_point in ((("nn", "dn"), True), (("nd",), True), (("nn", "dn", "nd"), False)):
+                sub = relations._run_bounce_suite("dual", n, kinds, single_point, True, lambda p: fn(reverse(p)), SIZE_BOUND)
+                want.instances += sub.instances
+                want.failures += [dict(f, paths=[reverse(parse(w)).word for w in f["paths"]]) for f in sub.failures]
+            got = verify_dual_bounce(n, llt_fn=fn)
+            assert got.to_obj() == want.to_obj(), (fn.__name__, n)
+            assert bool(got.failures) == (fn is corrupted and got.instances > 0), (fn.__name__, n)
