@@ -45,6 +45,10 @@ def _div(a: Rational, b: Rational) -> Rational:
     return _canon(Fraction(a, b))
 
 
+# One (e, 0) key per q-exponent, shared by every value that `from_packed` builds.
+_Q_KEYS: list[Exponents] = []
+
+
 def _canon_values(terms: dict) -> dict:
     """Turn every integral Fraction among the values into an int, in place."""
     for k, v in terms.items():
@@ -92,6 +96,38 @@ class CoeffQT:
     @classmethod
     def monomial(cls, q_exp: int = 0, t_exp: int = 0, coeff: Rational = 1) -> "CoeffQT":
         return cls({(q_exp, t_exp): coeff})
+
+    @classmethod
+    def from_packed(cls, value: int, width: int, signed: bool = False) -> "CoeffQT":
+        """The polynomial in q whose value at q = 2**width is `value`, read digit by digit.
+
+        The dynamic programs and the axiomatic evaluator carry a polynomial
+        in q with integer coefficients as its value at q = 2**width: values
+        then add as ints, a shift by width*k multiplies by q^k, and a product
+        of two values is the value of the product polynomial.  The base
+        2**width digits are the coefficients, in [0, 2**width), or in
+        [-2**(width-1), 2**(width-1)) when `signed`; that range must hold
+        every coefficient of the polynomial, or its value reads back as
+        another one.  Each q-exponent shares one key tuple across all values.
+        """
+        mask = (1 << width) - 1
+        half = 1 << (width - 1) if signed else 0
+        keys = _Q_KEYS
+        top = value.bit_length() // width + 1
+        if top >= len(keys):
+            keys.extend((e, 0) for e in range(len(keys), top + 1))
+        terms: dict[Exponents, Rational] = {}
+        e = 0
+        while value:
+            value += half
+            digit = (value & mask) - half
+            if digit:
+                terms[keys[e]] = digit
+            value >>= width
+            e += 1
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
 
     @classmethod
     def q(cls, exp: int = 1) -> "CoeffQT":

@@ -163,31 +163,6 @@ def _ascent_tally(lower, content: tuple[int, ...]) -> dict[int, int]:
     return tally
 
 
-def _q_poly(tally: dict[int, int]) -> CoeffQT:
-    """The polynomial sum of count * q^exponent over an integer tally."""
-    return CoeffQT({(a, 0): c for a, c in tally.items()})
-
-
-def _digits(value: int, width: int) -> dict[int, int]:
-    """The tally of a polynomial with coefficients in [0, 2**width), read from its value at q = 2**width.
-
-    The dynamic programs below carry each ascent tally as that value: the
-    base-2**width digits are the counts, and they never carry as long as no
-    count reaches 2**width.  Tallies then add as ints, a shift by width*k
-    multiplies by q^k, and a product of two values is the value of the
-    product polynomial.
-    """
-    mask = (1 << width) - 1
-    tally: dict[int, int] = {}
-    exponent = 0
-    while value:
-        if value & mask:
-            tally[exponent] = value & mask
-        value >>= width
-        exponent += 1
-    return tally
-
-
 def _m_expansion(lower, n: int) -> SymFunc:
     """The coloring sum in the m-basis: m_lam collects the colorings of content lam.
 
@@ -204,12 +179,13 @@ def _m_expansion(lower, n: int) -> SymFunc:
     The state of a coloured set is one int.  Each partition of m has a slot
     (`partition_slots`), and the slot holds the ascent tally of the
     colorings with those class sizes, as a value at q = 2**width (see
-    `_digits`).  A class of size k may follow only the partitions whose
-    smallest part is at least k, a suffix of the slots, and appending k maps
-    that suffix in order onto the block of partitions of m+k whose smallest
-    part is k.  So a class of size k with a ascents adds
-    (value >> slot * lo[m][k]) << width * a to block k of its target, and a
-    target assembles its int from its blocks once, when its turn comes.
+    `CoeffQT.from_packed`, which also reads each m-coefficient back).  A
+    class of size k may follow only the partitions whose smallest part is
+    at least k, a suffix of the slots, and appending k maps that suffix in
+    order onto the block of partitions of m+k whose smallest part is k.
+    So a class of size k with a ascents adds (value >> slot * lo[m][k]) <<
+    width * a to block k of its target, and a target assembles its int
+    from its blocks once, when its turn comes.
 
     No carry crosses a digit or a slot: no count exceeds n!, whose bit
     length is the digit width, and no coloring has more ascents than the
@@ -278,7 +254,8 @@ def _m_expansion(lower, n: int) -> SymFunc:
     order = partition_slots(n)[0]
     mask = (1 << slot) - 1
     tallies = {lam: value >> slot * i & mask for i, lam in enumerate(order)}
-    return SymFunc("m", {lam: _q_poly(_digits(tallies[lam], width)) for lam in partitions_of(n) if tallies[lam]})
+    terms = {lam: CoeffQT.from_packed(tallies[lam], width) for lam in partitions_of(n) if tallies[lam]}
+    return SymFunc.from_canonical("m", terms)
 
 
 def llt(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
@@ -309,7 +286,8 @@ def content_coefficient(path: SchroederPath, content: tuple[int, ...], bound: in
     """
     if path.size > bound:
         raise BoundExceeded(f"content_coefficient on size {path.size} exceeds bound {bound}")
-    return _q_poly(_ascent_tally(graph(path).lower_neighbors(), content))
+    tally = _ascent_tally(graph(path).lower_neighbors(), content)
+    return CoeffQT({(a, 0): c for a, c in tally.items()})
 
 
 def orientations(path: SchroederPath, area_bound: int = AREA_BOUND) -> list[Orientation]:
@@ -396,8 +374,10 @@ def lambda_theta(g: DecoratedGraph, theta: Orientation) -> tuple[int, ...]:
     return _block_sizes(_theta_labels(g, theta))
 
 
-def _orientation_tally(path: SchroederPath) -> dict[tuple[int, ...], dict[int, int]]:
-    """For each partition lam, count orientations with lambda(theta) = lam by ascent.
+def _orientation_tally(path: SchroederPath) -> dict[tuple[int, ...], CoeffQT]:
+    """For each partition lam, the orientations with lambda(theta) = lam as a polynomial in q.
+
+    The q^a coefficient counts those orientations with a ascents.
 
     A dynamic program over the vertices from n down to 1.  The upper
     neighbours of v are v+1..top[v], and top never decreases, so once v is
@@ -412,7 +392,7 @@ def _orientation_tally(path: SchroederPath) -> dict[tuple[int, ...], dict[int, i
     reaches none, and v joins that label's block.  A block closes when its
     label leaves the window, since no vertex below can reach it any more.
     No count exceeds 2**area, which sets the digit width of the tallies
-    (see `_digits`).
+    (see `CoeffQT.from_packed`).
     """
     g = graph(path)
     n = g.n
@@ -459,7 +439,7 @@ def _orientation_tally(path: SchroederPath) -> dict[tuple[int, ...], dict[int, i
                     state = (tuple(sizes[r] for r in alive), closed)
                     target[state] = target.get(state, 0) + value * poly
         states = following
-    return {closed: _digits(value, width) for (_, closed), value in states[()].items()}
+    return {closed: CoeffQT.from_packed(value, width) for (_, closed), value in states[()].items()}
 
 
 def orientation_e_expansion(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
@@ -474,8 +454,7 @@ def orientation_e_expansion(path: SchroederPath, bound: int = SIZE_BOUND) -> Sym
     cached = _ORIENT_CACHE.get(path.word)
     if cached is not None:
         return cached
-    tally = _orientation_tally(path)
-    out = SymFunc("e", {lam: _q_poly(inner) for lam, inner in tally.items()})
+    out = SymFunc.from_canonical("e", _orientation_tally(path))
     _ORIENT_CACHE[path.word] = out
     return out
 

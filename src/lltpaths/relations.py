@@ -26,17 +26,42 @@ axioms alone: the initial condition on n d^k e, multiplicativity at
 diagonal returns, the unicellular relation, and the generalized bounce
 relations, following a triple induction on (size, number of east steps,
 x + z of the first east step).
+
+Its memo holds each value F(word) in two forms.  The packed form maps each
+partition lam to the e_lam coefficient at q = 2**_WIDTH, with balanced
+(signed) digits.  The unicellular and bounce rules are linear with
+coefficients q - 1, q and 1, so on packed values they are int operations
+per partition: (v << _WIDTH) - v, v << _WIDTH and +.  The other form is
+the SymFunc that ``recursion_evaluate`` returns.  A memo hit returns it as
+stored, and multiplicativity multiplies two of them with ``SymFunc.__mul__``
+and packs the product once.  A value that a linear rule builds is read
+back into canonical CoeffQT terms once, when it is stored.  Both forms are
+kept because each alone costs more: a packed-only memo unpacks on every
+hit, and a SymFunc-only memo repeats per-term CoeffQT arithmetic in every
+rule.
+
+The width holds every stored coefficient.  By the orientation expansion,
+F(q) is the sum over orientations theta of (q-1)^asc(theta)
+e_lambda(theta), over the 2^a orientations of the a non-strict edges, and
+asc(theta) <= a.  So the q^j e_lam coefficient is at most the sum over
+theta of binom(asc(theta), j) <= 2^asc(theta), which is 3^a, in absolute
+value.  Also a <= C(n, 2), and the evaluator refuses sizes above
+DEGREE_BOUND, so every stored coefficient is below 3^C(12, 2) = 3^66 <
+2^105, one signed digit of _WIDTH = 106 bits.  Packing is a ring
+homomorphism Z[q] -> Z, so a sum on the way may exceed the bound; only
+stored values are read back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 from typing import Callable, Iterator
 
 from .coeffring import ZERO, CoeffQT
 from .errors import BoundExceeded, NonTermination
 from .llt import chromatic, llt
-from .partitions import compositions
+from .partitions import DEGREE_BOUND, Partition, compositions
 from .schroeder import (
     SIZE_BOUND,
     BounceData,
@@ -51,7 +76,14 @@ from .symfunc import SymFunc, linear_combination
 
 LltFn = Callable[[SchroederPath], SymFunc]
 
-_RECURSION_CACHE: dict[str, SymFunc] = {}
+# The evaluator's memo: path word -> (packed value, SymFunc), see _WIDTH.
+Packed = dict[Partition, int]
+Entry = tuple[Packed, SymFunc]
+_RECURSION_CACHE: dict[str, Entry] = {}
+# Digit width of the packed values: every coefficient the evaluator stores
+# is at most 3^C(DEGREE_BOUND, 2) in absolute value (see the module
+# docstring), so it fits a signed digit of this many bits (106).
+_WIDTH = (3 ** comb(DEGREE_BOUND, 2)).bit_length() + 1
 # Two interpreter frames per level, so NonTermination fires before
 # CPython's default recursion limit of 1000 frames.
 _EVAL_DEPTH_BOUND = 200
@@ -386,20 +418,30 @@ def recursion_evaluate(path: SchroederPath | str, bound: int = SIZE_BOUND) -> Sy
     Uses only the initial condition F(n d^k e) = e_{k+1}, multiplicativity
     at returns to the diagonal, the unicellular relation to strip a
     leading ne, and the generalized bounce relations when the first east
-    step is preceded by a diagonal step.  Memoized on path words.  The
-    evaluator recurses within the interpreter's default recursion limit
-    (a cold size-12 path goes 68 levels deep) and leaves that limit
-    alone; a rule cycle raises NonTermination at depth 200, before the
-    interpreter's limit is reached.
+    step is preceded by a diagonal step.  Memoized on path words: each
+    entry holds the value packed at q = 2**_WIDTH, which the linear rules
+    combine, and the `SymFunc` returned here, which products multiply and
+    a repeated call returns as it is.  A size above `bound`, or above
+    `DEGREE_BOUND` (the largest size `_WIDTH` holds), is refused before any
+    work.  The evaluator recurses within the interpreter's default
+    recursion limit (a cold size-12 path goes 68 levels deep) and leaves
+    that limit alone; a rule cycle raises NonTermination at depth 200,
+    before the interpreter's limit is reached.
     """
     if isinstance(path, str):
         path = parse(path)
-    if path.size > bound:
-        raise BoundExceeded(f"size {path.size} exceeds bound {bound}")
-    return _evaluate(path.word, 0)
+    n = path.size
+    if n > bound:
+        raise BoundExceeded(f"size {n} exceeds bound {bound}")
+    if n > DEGREE_BOUND:
+        raise BoundExceeded(f"size {n} exceeds {DEGREE_BOUND}, the largest size the packed width holds")
+    entry = _RECURSION_CACHE.get(path.word)  # a hit is this one lookup
+    if entry is None:
+        entry = _evaluate(path.word, 0)
+    return entry[1]
 
 
-def _evaluate(word: str, depth: int) -> SymFunc:
+def _evaluate(word: str, depth: int) -> Entry:
     cached = _RECURSION_CACHE.get(word)
     if cached is not None:
         return cached
@@ -410,36 +452,61 @@ def _evaluate(word: str, depth: int) -> SymFunc:
     return out
 
 
-def _evaluate_uncached(word: str, depth: int) -> SymFunc:
+def _unpacked(packed: Packed) -> Entry:
+    """The entry of a packed value: the value and its e-expansion, read once."""
+    coeffs = {lam: CoeffQT.from_packed(v, _WIDTH, signed=True) for lam, v in packed.items()}
+    return packed, SymFunc.from_canonical("e", coeffs)
+
+
+def _times_q(f: Packed) -> Packed:
+    """q f."""
+    return {lam: v << _WIDTH for lam, v in f.items()}
+
+
+def _q_minus_1_times_plus(f: Packed, g: Packed) -> Entry:
+    """The entry of (q-1) f + g."""
+    out = {lam: (v << _WIDTH) - v for lam, v in f.items()}
+    for lam, v in g.items():
+        s = out.get(lam, 0) + v
+        if s:
+            out[lam] = s
+        else:
+            del out[lam]
+    return _unpacked(out)
+
+
+def _evaluate_uncached(word: str, depth: int) -> Entry:
     if not word:
-        return SymFunc.one("e")
+        return _unpacked({(): 1})
     first_e = word.index("e")  # every nonempty path has an east step
     prefix = word[:first_e]
     # initial condition F(n d^k e) = e_{k+1}
     if first_e == len(word) - 1 and prefix == "n" + "d" * (first_e - 1):
-        return SymFunc.basis_element("e", (first_e,))
+        return _unpacked({(first_e,): 1})
     x = prefix.count("d")
     z = prefix.count("n") + prefix.count("d")
     if z == x + 1:
         # the first east step returns to the diagonal: split multiplicatively
-        left = word[: first_e + 1]
-        right = word[first_e + 1 :]
-        return _evaluate(left, depth + 1) * _evaluate(right, depth + 1)
+        left = _evaluate(word[: first_e + 1], depth + 1)[1]
+        right = _evaluate(word[first_e + 1 :], depth + 1)[1]
+        product = left * right
+        packed = {lam: sum(v << _WIDTH * eq for (eq, _), v in c.terms.items()) for lam, c in product.coeffs.items()}
+        return packed, product
     if prefix[-1] == "n":
         # unicellular relation: F(Y n e W) = (q-1) F(Y d W) + F(Y e n W)
         y, w = word[: first_e - 1], word[first_e + 1 :]
-        return _evaluate(y + "d" + w, depth + 1).scale(Q - 1) + _evaluate(
-            y + "en" + w, depth + 1
-        )
+        return _q_minus_1_times_plus(_evaluate(y + "d" + w, depth + 1)[0], _evaluate(y + "en" + w, depth + 1)[0])
     # first east step preceded by d: apply the bounce relation at (x, z)
     data = bounce_at(parse(word), (x, z))
     assert data.decomposition is not None
     u, s12, v, s34, w = data.decomposition
     assert s34 == "de" and "e" not in v and s12 in ("nn", "nd", "dn"), (word, data)
     if s12 == "nn":
-        return _evaluate(u + "nn" + v + "ed" + w, depth + 1).scale(Q)
+        # F(U nn V de W) = q F(U nn V ed W)
+        return _unpacked(_times_q(_evaluate(u + "nn" + v + "ed" + w, depth + 1)[0]))
     if s12 == "dn":
+        # F(U dn V de W) = F(U nd V ed W): the same entry
         return _evaluate(u + "nd" + v + "ed" + w, depth + 1)
-    return _evaluate(u + "nd" + v + "ed" + w, depth + 1).scale(Q - 1) + _evaluate(
-        u + "dn" + v + "ed" + w, depth + 1
-    ).scale(Q)
+    # F(U nd V de W) = (q-1) F(U nd V ed W) + q F(U dn V ed W)
+    f = _evaluate(u + "nd" + v + "ed" + w, depth + 1)[0]
+    return _q_minus_1_times_plus(f, _times_q(_evaluate(u + "dn" + v + "ed" + w, depth + 1)[0]))

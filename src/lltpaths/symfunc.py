@@ -84,6 +84,19 @@ class SymFunc:
         return cls(basis, {(): 1})
 
     @classmethod
+    def from_canonical(cls, basis: str, coeffs: dict[Partition, CoeffQT]) -> "SymFunc":
+        """Wrap a map that is canonical already, without checking or copying it.
+
+        Every key must be a partition and every value a nonzero `CoeffQT`;
+        the builders that make such maps (the accumulation kernel, the
+        dynamic programs, the evaluator) skip the constructor's checks.
+        """
+        res = cls.__new__(cls)
+        res.basis = basis
+        res.coeffs = coeffs
+        return res
+
+    @classmethod
     def basis_element(cls, basis: str, lam: Iterable[int], coeff: ScalarLike = 1) -> "SymFunc":
         return cls(basis, {tuple(lam): coeff})
 
@@ -120,16 +133,10 @@ class SymFunc:
                 out.pop(lam, None)
             else:
                 out[lam] = s
-        res = SymFunc.__new__(SymFunc)
-        res.basis = self.basis
-        res.coeffs = out
-        return res
+        return SymFunc.from_canonical(self.basis, out)
 
     def __neg__(self) -> "SymFunc":
-        res = SymFunc.__new__(SymFunc)
-        res.basis = self.basis
-        res.coeffs = {lam: -c for lam, c in self.coeffs.items()}
-        return res
+        return SymFunc.from_canonical(self.basis, {lam: -c for lam, c in self.coeffs.items()})
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
         return self + (-other)
@@ -138,10 +145,7 @@ class SymFunc:
         c = _coeff(v)
         if c.is_zero():
             return SymFunc(self.basis)
-        res = SymFunc.__new__(SymFunc)
-        res.basis = self.basis
-        res.coeffs = {lam: w * c for lam, w in self.coeffs.items()}
-        return res
+        return SymFunc.from_canonical(self.basis, {lam: w * c for lam, w in self.coeffs.items()})
 
     def map_coeffs(self, fn: Callable[[CoeffQT], CoeffQT]) -> "SymFunc":
         out = {}
@@ -149,10 +153,7 @@ class SymFunc:
             v = fn(c)
             if not v.is_zero():
                 out[lam] = v
-        res = SymFunc.__new__(SymFunc)
-        res.basis = self.basis
-        res.coeffs = out
-        return res
+        return SymFunc.from_canonical(self.basis, out)
 
     def shift_q(self, c: int) -> "SymFunc":
         return self.map_coeffs(lambda v: v.shift_q(c))
@@ -197,7 +198,7 @@ class SymFunc:
                         out.pop(nu, None)
                     else:
                         out[nu] = s
-            return SymFunc(self.basis, out)
+            return SymFunc.from_canonical(self.basis, out)
         fm = self.convert("m")
         gm = other.convert("m")
         out = {}
@@ -210,7 +211,7 @@ class SymFunc:
                         out.pop(nu, None)
                     else:
                         out[nu] = s
-        return SymFunc("m", out).convert(self.basis)
+        return SymFunc.from_canonical("m", out).convert(self.basis)
 
     # -- the classical involution and the one plethysm we need ---------------
 
@@ -335,10 +336,7 @@ def linear_combination(basis: str, terms: Iterable[tuple[ScalarLike, Vector]]) -
             c = CoeffQT.__new__(CoeffQT)
             c.terms = clean
             out[lam] = c
-    res = SymFunc.__new__(SymFunc)
-    res.basis = basis
-    res.coeffs = out
-    return res
+    return SymFunc.from_canonical(basis, out)
 
 
 # -- monomial-basis multiplication --------------------------------------------

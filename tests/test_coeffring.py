@@ -183,3 +183,15 @@ def test_integral_fraction_and_int_are_one_value():
     assert type(a.terms[(0, 0)]) is int
     assert CoeffQT({(0, 0): Fraction(1)}).is_one()
     assert CoeffQT.from_obj([{"q": 1, "t": 0, "num": "6", "den": "3"}]).terms == {(1, 0): 2}
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_from_packed_reads_back_the_value_at_a_power_of_two(signed):
+    rng = random.Random(5)
+    width = 8
+    low = -(1 << (width - 1)) if signed else 0
+    for _ in range(200):
+        coeffs = [rng.randrange(low, low + (1 << width)) for _ in range(rng.randint(0, 6))]
+        poly = CoeffQT({(e, 0): c for e, c in enumerate(coeffs)})
+        value = sum(c << width * e for e, c in enumerate(coeffs))
+        assert CoeffQT.from_packed(value, width, signed=signed) == poly

@@ -1,5 +1,6 @@
 import inspect
 import sys
+from math import comb
 
 import pytest
 
@@ -7,6 +8,7 @@ from lltpaths import relations
 from lltpaths.coeffring import CoeffQT
 from lltpaths.errors import BoundExceeded, NonTermination
 from lltpaths.llt import chromatic, llt
+from lltpaths.partitions import DEGREE_BOUND
 from lltpaths.relations import (
     SUITES,
     all_suites,
@@ -313,6 +315,27 @@ def test_a_rule_cycle_raises_non_termination_within_the_default_recursion_limit(
             recursion_evaluate("nndee")
     finally:
         sys.setrecursionlimit(previous)
+
+
+def test_recursion_evaluate_refuses_a_size_above_the_degree_bound_whatever_the_bound(monkeypatch):
+    def fail(word, depth):
+        raise AssertionError("the evaluator started")
+
+    monkeypatch.setattr(relations, "_evaluate", fail)
+    big = "n" * (DEGREE_BOUND + 1) + "e" * (DEGREE_BOUND + 1)
+    with pytest.raises(BoundExceeded):
+        recursion_evaluate(big, bound=DEGREE_BOUND + 1)
+
+
+def test_packed_width_holds_every_coefficient_up_to_the_degree_bound():
+    # |coefficient| <= 3^(non-strict edges) <= 3^C(n, 2) fits a signed digit
+    assert 3 ** comb(DEGREE_BOUND, 2) < 2 ** (relations._WIDTH - 1)
+
+
+@pytest.mark.parametrize("word", ["n" * 8 + "e" * 8, "n" * 7 + "d" + "e" * 7, "nnndnnndeeeeee"])
+def test_recursion_evaluate_matches_colorings_at_size_8(word):
+    p = parse(word)
+    assert recursion_evaluate(p, bound=8) == llt(p, bound=8).convert("e")
 
 
 def test_recursion_evaluate_matches_colorings():
