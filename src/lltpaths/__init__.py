@@ -38,6 +38,7 @@ from .llt import (
     orientations,
     swap_coloring,
 )
+from .memo import clear_caches
 from .partitions import (
     conjugate,
     dominates,

@@ -41,7 +41,10 @@ small instances.
 
 All enumerations tally integer counts first and only then build exact
 coefficients, so the hot loops never touch Fraction arithmetic.  The
-module-level caches are keyed by path word; inserts are idempotent.
+module-level caches are keyed by path word and inserts are idempotent.
+Both DPs read their packed tallies back through the shared coefficient
+table (`shared_packed`), so the cached values share one immutable CoeffQT
+per distinct tally and digit width.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Callable
 
-from .coeffring import CoeffQT
+from . import memo
+from .coeffring import CoeffQT, shared_packed
 from .errors import BoundExceeded, HasDiagonal, InvalidColoring
 from .partitions import partition_slots, partitions_of
 from .schroeder import SIZE_BOUND, DecoratedGraph, SchroederPath, graph
@@ -58,9 +62,9 @@ from .symfunc import SymFunc
 
 AREA_BOUND = 16
 
-_LLT_CACHE: dict[str, SymFunc] = {}
-_ORIENT_CACHE: dict[str, SymFunc] = {}
-_CHROMATIC_CACHE: dict[str, SymFunc] = {}
+_LLT_CACHE: dict[str, SymFunc] = memo.table("_LLT_CACHE")
+_ORIENT_CACHE: dict[str, SymFunc] = memo.table("_ORIENT_CACHE")
+_CHROMATIC_CACHE: dict[str, SymFunc] = memo.table("_CHROMATIC_CACHE")
 
 
 Coloring = tuple[int, ...]
@@ -179,7 +183,7 @@ def _m_expansion(lower, n: int) -> SymFunc:
     The state of a coloured set is one int.  Each partition of m has a slot
     (`partition_slots`), and the slot holds the ascent tally of the
     colorings with those class sizes, as a value at q = 2**width (see
-    `CoeffQT.from_packed`, which also reads each m-coefficient back).  A
+    `CoeffQT.from_packed`; `shared_packed` reads each m-coefficient back).  A
     class of size k may follow only the partitions whose smallest part is
     at least k, a suffix of the slots, and appending k maps that suffix in
     order onto the block of partitions of m+k whose smallest part is k.
@@ -254,7 +258,7 @@ def _m_expansion(lower, n: int) -> SymFunc:
     order = partition_slots(n)[0]
     mask = (1 << slot) - 1
     tallies = {lam: value >> slot * i & mask for i, lam in enumerate(order)}
-    terms = {lam: CoeffQT.from_packed(tallies[lam], width) for lam in partitions_of(n) if tallies[lam]}
+    terms = {lam: shared_packed(tallies[lam], width)[1] for lam in partitions_of(n) if tallies[lam]}
     return SymFunc.from_canonical("m", terms)
 
 
@@ -392,7 +396,7 @@ def _orientation_tally(path: SchroederPath) -> dict[tuple[int, ...], CoeffQT]:
     reaches none, and v joins that label's block.  A block closes when its
     label leaves the window, since no vertex below can reach it any more.
     No count exceeds 2**area, which sets the digit width of the tallies
-    (see `CoeffQT.from_packed`).
+    (see `CoeffQT.from_packed`; `shared_packed` reads them back).
     """
     g = graph(path)
     n = g.n
@@ -439,7 +443,7 @@ def _orientation_tally(path: SchroederPath) -> dict[tuple[int, ...], CoeffQT]:
                     state = (tuple(sizes[r] for r in alive), closed)
                     target[state] = target.get(state, 0) + value * poly
         states = following
-    return {closed: CoeffQT.from_packed(value, width) for (_, closed), value in states[()].items()}
+    return {closed: shared_packed(value, width)[1] for (_, closed), value in states[()].items()}
 
 
 def orientation_e_expansion(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:

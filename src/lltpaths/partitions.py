@@ -9,6 +9,7 @@ independent oracle for the Schur-function machinery elsewhere.
 
 from __future__ import annotations
 
+from . import memo
 from .errors import BoundExceeded, SizeMismatch
 
 Partition = tuple[int, ...]
@@ -17,9 +18,9 @@ Composition = tuple[int, ...]
 #: Largest degree the enumerative helpers accept by default.
 DEGREE_BOUND = 12
 
-_PARTITIONS_CACHE: dict[int, tuple[Partition, ...]] = {}
-_SLOTS_CACHE: dict[int, tuple[tuple[Partition, ...], tuple[int, ...]]] = {}
-_KOSTKA_CACHE: dict[tuple[Partition, Partition], int] = {}
+_PARTITIONS_CACHE: dict[int, tuple[Partition, ...]] = memo.table("_PARTITIONS_CACHE")
+_SLOTS_CACHE: dict[int, tuple[tuple[Partition, ...], tuple[int, ...]]] = memo.table("_SLOTS_CACHE")
+_KOSTKA_CACHE: dict[tuple[Partition, Partition], int] = memo.table("_KOSTKA_CACHE")
 
 
 def is_partition(parts) -> bool:

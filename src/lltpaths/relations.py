@@ -34,11 +34,14 @@ coefficients q - 1, q and 1, so on packed values they are int operations
 per partition: (v << _WIDTH) - v, v << _WIDTH and +.  The other form is
 the SymFunc that ``recursion_evaluate`` returns.  A memo hit returns it as
 stored, and multiplicativity multiplies two of them with ``SymFunc.__mul__``
-and packs the product once.  A value that a linear rule builds is read
-back into canonical CoeffQT terms once, when it is stored.  Both forms are
-kept because each alone costs more: a packed-only memo unpacks on every
-hit, and a SymFunc-only memo repeats per-term CoeffQT arithmetic in every
-rule.
+and packs the product.  Every new entry, a product or a value that a linear
+rule builds, is read back through the shared coefficient table
+(``coeffring.shared_packed``) when it is stored: equal coefficients, which
+most of the memo's are, are one int and one CoeffQT.  Both forms are kept
+because each alone costs more: a packed-only memo unpacks on every hit, and
+a SymFunc-only memo repeats per-term CoeffQT arithmetic in every rule.
+Sharing keeps the pair cheap, since the two forms of an entry hold only
+references to the table's objects.
 
 The width holds every stored coefficient.  By the orientation expansion,
 F(q) is the sum over orientations theta of (q-1)^asc(theta)
@@ -58,7 +61,8 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Iterator
 
-from .coeffring import ZERO, CoeffQT
+from . import memo
+from .coeffring import ZERO, CoeffQT, shared_packed
 from .errors import BoundExceeded, NonTermination
 from .llt import chromatic, llt
 from .partitions import DEGREE_BOUND, Partition, compositions
@@ -79,7 +83,7 @@ LltFn = Callable[[SchroederPath], SymFunc]
 # The evaluator's memo: path word -> (packed value, SymFunc), see _WIDTH.
 Packed = dict[Partition, int]
 Entry = tuple[Packed, SymFunc]
-_RECURSION_CACHE: dict[str, Entry] = {}
+_RECURSION_CACHE: dict[str, Entry] = memo.table("_RECURSION_CACHE")
 # Digit width of the packed values: every coefficient the evaluator stores
 # is at most 3^C(DEGREE_BOUND, 2) in absolute value (see the module
 # docstring), so it fits a signed digit of this many bits (106).
@@ -421,7 +425,9 @@ def recursion_evaluate(path: SchroederPath | str, bound: int = SIZE_BOUND) -> Sy
     step is preceded by a diagonal step.  Memoized on path words: each
     entry holds the value packed at q = 2**_WIDTH, which the linear rules
     combine, and the `SymFunc` returned here, which products multiply and
-    a repeated call returns as it is.  A size above `bound`, or above
+    a repeated call returns as it is.  Both forms share their ints and
+    coefficients with every entry of equal value (`shared_packed`); they
+    are never changed in place.  A size above `bound`, or above
     `DEGREE_BOUND` (the largest size `_WIDTH` holds), is refused before any
     work.  The evaluator recurses within the interpreter's default
     recursion limit (a cold size-12 path goes 68 levels deep) and leaves
@@ -453,9 +459,12 @@ def _evaluate(word: str, depth: int) -> Entry:
 
 
 def _unpacked(packed: Packed) -> Entry:
-    """The entry of a packed value: the value and its e-expansion, read once."""
-    coeffs = {lam: CoeffQT.from_packed(v, _WIDTH, signed=True) for lam, v in packed.items()}
-    return packed, SymFunc.from_canonical("e", coeffs)
+    """The entry of a packed value: its shared ints and their shared CoeffQTs, in e."""
+    ints: Packed = {}
+    coeffs: dict[Partition, CoeffQT] = {}
+    for lam, v in packed.items():
+        ints[lam], coeffs[lam] = shared_packed(v, _WIDTH, True)
+    return ints, SymFunc.from_canonical("e", coeffs)
 
 
 def _times_q(f: Packed) -> Packed:
@@ -490,8 +499,7 @@ def _evaluate_uncached(word: str, depth: int) -> Entry:
         left = _evaluate(word[: first_e + 1], depth + 1)[1]
         right = _evaluate(word[first_e + 1 :], depth + 1)[1]
         product = left * right
-        packed = {lam: sum(v << _WIDTH * eq for (eq, _), v in c.terms.items()) for lam, c in product.coeffs.items()}
-        return packed, product
+        return _unpacked({lam: sum(v << _WIDTH * eq for (eq, _), v in c.terms.items()) for lam, c in product.coeffs.items()})
     if prefix[-1] == "n":
         # unicellular relation: F(Y n e W) = (q-1) F(Y d W) + F(Y e n W)
         y, w = word[: first_e - 1], word[first_e + 1 :]

@@ -29,6 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
+from . import memo
 from .coeffring import ZERO, CoeffQT, Exponents, Rational
 from .errors import LLTError
 from .partitions import (
@@ -43,8 +44,8 @@ BASES = ("m", "e", "h", "p", "s")
 
 ScalarLike = Union[int, Fraction, CoeffQT]
 
-_M_MUL_CACHE: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
-_TRANSITION_CACHE: dict[tuple[str, int], tuple[dict[Partition, dict[Partition, Rational]], dict[Partition, dict[Partition, Rational]]]] = {}
+_M_MUL_CACHE: dict[tuple[Partition, Partition], dict[Partition, int]] = memo.table("_M_MUL_CACHE")
+_TRANSITION_CACHE: dict[tuple[str, int], tuple[dict[Partition, dict[Partition, Rational]], dict[Partition, dict[Partition, Rational]]]] = memo.table("_TRANSITION_CACHE")
 
 
 def _coeff(v: ScalarLike) -> CoeffQT:

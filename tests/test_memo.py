@@ -1,0 +1,75 @@
+import importlib
+
+import lltpaths
+from lltpaths import memo, relations
+from lltpaths.coeffring import CoeffQT, shared_packed
+from lltpaths.llt import chromatic, llt, orientation_e_expansion
+from lltpaths.relations import recursion_evaluate, verify_chromatic_relations
+from lltpaths.schroeder import area, enumerate_paths
+
+# every module-level table, by module
+TABLES = {
+    "llt": ("_LLT_CACHE", "_ORIENT_CACHE", "_CHROMATIC_CACHE"),
+    "relations": ("_RECURSION_CACHE",),
+    "symfunc": ("_M_MUL_CACHE", "_TRANSITION_CACHE"),
+    "partitions": ("_PARTITIONS_CACHE", "_SLOTS_CACHE", "_KOSTKA_CACHE"),
+    "coeffring": ("_SHARED_COEFFS",),
+}
+
+
+def _tables() -> dict[str, dict]:
+    return {name: vars(importlib.import_module(f"lltpaths.{module}"))[name] for module, names in TABLES.items() for name in names}
+
+
+def _sweep() -> list:
+    """Values from every memoized route, as plain objects."""
+    out = []
+    for n in range(1, 6):
+        for p in enumerate_paths(n):
+            out += [llt(p).convert("s").to_obj(), orientation_e_expansion(p).to_obj(), recursion_evaluate(p).to_obj()]
+            if p.is_dyck():
+                out.append(chromatic(p).to_obj())
+    out.append(verify_chromatic_relations(4).to_obj())
+    return out
+
+
+def test_clear_caches_empties_every_table_and_a_second_sweep_agrees():
+    first = _sweep()
+    tables = _tables()
+    assert all(tables.values()), [name for name, t in tables.items() if not t]
+    assert set(memo._TABLES) == set(tables)
+    lltpaths.clear_caches()
+    assert not any(_tables().values()), [name for name, t in _tables().items() if t]
+    assert _sweep() == first
+
+
+def _assert_one_object_per_value(coeffs) -> None:
+    seen: dict[frozenset, CoeffQT] = {}
+    for c in coeffs:
+        assert seen.setdefault(frozenset(c.terms.items()), c) is c, c
+
+
+def test_memo_coefficients_are_shared_objects():
+    lltpaths.clear_caches()
+    paths = [p for n in range(1, 7) for p in enumerate_paths(n)]
+    for p in paths:
+        llt(p), orientation_e_expansion(p), recursion_evaluate(p)
+    # the digit width of a read-back is fixed per size for the colorings, per
+    # area for the orientations and once for the evaluator; within it equal
+    # coefficients are one object
+    for n in range(1, 7):
+        _assert_one_object_per_value(c for p in paths if p.size == n for c in llt(p).coeffs.values())
+    for a in {area(p) for p in paths}:
+        _assert_one_object_per_value(c for p in paths if area(p) == a for c in orientation_e_expansion(p).coeffs.values())
+    entries = relations._RECURSION_CACHE.values()
+    _assert_one_object_per_value(c for _, f in entries for c in f.coeffs.values())
+    for packed, f in entries:
+        assert packed.keys() == f.coeffs.keys()
+        for lam, v in packed.items():
+            assert f.coeffs[lam] == CoeffQT.from_packed(v, relations._WIDTH, signed=True)
+            shared_int, shared_coeff = shared_packed(v, relations._WIDTH, True)
+            assert shared_int is v and shared_coeff is f.coeffs[lam]
+    tables = _tables()
+    held = sum(len(f.coeffs) for name in ("_LLT_CACHE", "_ORIENT_CACHE") for f in tables[name].values())
+    held += sum(len(packed) for packed, _ in entries)
+    assert len(tables["_SHARED_COEFFS"]) <= held
