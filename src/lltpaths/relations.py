@@ -394,9 +394,9 @@ SUITES = {
 }
 
 
-def all_suites(n: int, include_extended: bool = False, bound: int = SIZE_BOUND) -> list[RelationReport]:
-    """Every suite at size n, each refusing a size above `bound` before any work."""
-    return [fn(n, bound=bound) for name, fn in SUITES.items() if include_extended or name != "extended"]
+def all_suites(n: int, bound: int = SIZE_BOUND) -> list[RelationReport]:
+    """Every suite but `extended` at size n, each refusing a size above `bound` before any work."""
+    return [fn(n, bound=bound) for name, fn in SUITES.items() if name != "extended"]
 
 
 # -- the axiomatic evaluator ----------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lltpaths import relations
+from lltpaths import cli, relations
 from lltpaths.cli import main
 from lltpaths.harmonics import hall_littlewood
 from lltpaths.llt import chromatic, llt
@@ -149,9 +149,68 @@ def test_size_guard_override(capsys):
     assert code == 0 and out.strip() == "20793"
 
 
-def test_threads_flag_accepted(capsys):
-    code, out = run(capsys, "paths", "3", "--threads", "2")
-    assert code == 0 and out.strip() == "11"
+# Every subcommand with its smallest valid arguments.
+SUBCOMMANDS = {
+    "paths": ["paths", "3"],
+    "expand": ["expand", "nnee"],
+    "equality": ["equality", "--max-n", "2"],
+    "verify": ["verify", "--max-n", "2"],
+    "schur": ["schur", "nnee"],
+    "nabla-e": ["nabla-e", "2"],
+    "nabla-p": ["nabla-p", "2"],
+    "hl": ["hl", "2"],
+    "chromatic": ["chromatic", "nnee"],
+    "survey": ["survey", "--max-n", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv + ["--threads", "2"] for argv in SUBCOMMANDS.values()]
+    + [SUBCOMMANDS[name] + ["--witness"] for name in ("paths", "equality", "schur", "nabla-e", "nabla-p", "hl", "chromatic")],
+)
+def test_options_a_subcommand_never_reads_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2 and capsys.readouterr().out == ""
+
+
+def test_verify_max_n_0_prints_nothing(capsys):
+    assert run(capsys, "verify", "--max-n", "0") == (0, "")
+
+
+def test_equality_failure_exits_1_with_a_report(capsys, monkeypatch):
+    orientations = cli.orientation_e_expansion
+    monkeypatch.setattr(cli, "orientation_e_expansion", lambda p, bound: orientations(p, bound).scale(2))
+    code, out = run(capsys, "equality", "--max-n", "2")
+    assert code == 1
+    summary, report = out.splitlines()
+    assert summary == "FAILED on 4 of 4 paths"
+    report = json.loads(report)
+    assert report["schema"] == "lltpaths/1"
+    assert [f["path"] for f in report["failures"]] == ["ne", "nde", "nene", "nnee"]
+    code, out = run(capsys, "equality", "--max-n", "2", "--json")
+    assert code == 1  # json.loads below refuses trailing text: --json prints the document only
+    assert json.loads(out)["result"]["failures"] == report["failures"]
+
+
+def test_verify_failure_exits_1_with_a_report(capsys, monkeypatch):
+    def failing(n, llt_fn=None, bound=SIZE_BOUND):
+        report = relations.RelationReport("unicellular", instances=1)
+        report.failures.append({"paths": ["ne"], "point": None, "discrepancy": SymFunc.basis_element("e", (1,))})
+        return report
+
+    monkeypatch.setitem(relations.SUITES, "unicellular", failing)
+    code, out = run(capsys, "verify", "--suite", "unicellular", "--max-n", "2")
+    assert code == 1
+    summary, report = out.splitlines()
+    assert summary == "unicellular: FAIL (2 instances)"
+    report = json.loads(report)
+    assert report["schema"] == "lltpaths/1"
+    assert [(s["suite"], s["passed"], len(s["failures"])) for s in report["failed_suites"]] == [("unicellular", False, 2)]
+    code, out = run(capsys, "verify", "--suite", "unicellular", "--max-n", "2", "--json")
+    assert code == 1
+    assert json.loads(out)["result"]["suites"] == report["failed_suites"]
 
 
 def test_expand_witness_counts_orientations_without_enumerating(capsys):

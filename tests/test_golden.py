@@ -68,6 +68,28 @@ def run_json(command: str) -> dict:
     return {"exit": code, "output": doc}
 
 
+def human_lines(command: str, result: dict) -> list[str]:
+    """The human-mode lines of a command, rendered from its `--json` result."""
+    name = command.split()[0]
+    if name == "paths":
+        return [str(result["count"])]
+    if name == "equality":
+        failures, total = len(result["failures"]), result["paths_checked"]
+        return [f"FAILED on {failures} of {total} paths" if failures else f"main identity holds on all {total} paths"]
+    if name == "verify":
+        return [f"{s['suite']}: {'PASS' if s['passed'] else 'FAIL'} ({s['instances']} instances)" for s in result["suites"]]
+    if name == "survey":
+        checked = result["coefficients_checked"]
+        return [
+            f"coefficients checked: {checked}",
+            f"all nonnegative: {result['all_nonneg']}",
+            f"unimodal: {result['unimodal']}/{checked}",
+            f"log-concave: {result['log_concave']}/{checked}",
+        ]
+    f = str(SymFunc.from_obj(result))
+    return [f"(-1)^(n-1) nabla p_{command.split()[1]} = {f}" if name == "nabla-p" else f]
+
+
 def build_corpus() -> str:
     """The corpus document as text: one entry per command and per (suite, n)."""
     doc = {
@@ -102,3 +124,12 @@ def test_every_corrupted_suite_reports_failures():
         assert bool(report["failures"]) == bool(report["instances"]), key
     six_term = [f for key, r in doc["relations"].items() for f in r["failures"] if len(f["paths"]) == 6]
     assert six_term
+
+
+def test_human_output_is_the_rendering_of_the_json_result():
+    for command in COMMANDS:
+        want = human_lines(command, run_json(command)["output"]["result"])
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            cli.main(command.split())
+        assert buf.getvalue().splitlines() == want, command

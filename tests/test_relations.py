@@ -170,10 +170,8 @@ def test_chromatic_multiplicativity():
 
 
 def test_extended_suite_reported_separately():
-    reports = all_suites(4, include_extended=True)
-    names = [r.suite for r in reports]
-    assert "extended" in names
-    assert all(r.passed for r in reports)
+    report = SUITES["extended"](4)
+    assert report.suite == "extended" and report.passed
     assert "extended" not in [r.suite for r in all_suites(4)]
 
 
