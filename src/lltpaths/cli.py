@@ -115,8 +115,8 @@ def _cmd_verify(args):
         f"{name}: {'PASS' if not agg['failures'] else 'FAIL'} ({agg['instances']} instances)"
         for name, agg in merged.items()
     ]
-    failed = any(agg["failures"] for agg in merged.values())
-    report = {"failed_suites": result["suites"]} if failed else None
+    failed = [suite for suite in result["suites"] if not suite["passed"]]
+    report = {"failed_suites": failed} if failed else None
     return {"suite": args.suite, "max_n": args.max_n}, result, human, report
 
 

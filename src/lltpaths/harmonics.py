@@ -20,7 +20,7 @@ from .errors import BoundExceeded, InvalidArgument, NotDivisible
 from .llt import llt, orientation_e_expansion
 from .partitions import weak_compositions
 from .schroeder import SIZE_BOUND, dyck_star, enumerate_paths, haglund_bounce, nu_alpha, p_mu
-from .symfunc import SymFunc
+from .symfunc import SymFunc, linear_combination
 
 
 def nabla_e(n: int, bound: int = SIZE_BOUND) -> SymFunc:
@@ -33,11 +33,13 @@ def nabla_e(n: int, bound: int = SIZE_BOUND) -> SymFunc:
         raise InvalidArgument(f"nabla_e needs n >= 0, got {n}")
     if n > bound:
         raise BoundExceeded(f"nabla_e({n}) exceeds bound {bound}")
-    total = SymFunc.zero("e")
-    for path in enumerate_paths(n, dyck_only=True, bound=bound):
-        weight = CoeffQT.t(haglund_bounce(path))
-        total = total + llt(dyck_star(path), bound).convert("e").scale(weight)
-    return total
+    return linear_combination(
+        "e",
+        [
+            (CoeffQT.t(haglund_bounce(path)), llt(dyck_star(path), bound).convert("e"))
+            for path in enumerate_paths(n, dyck_only=True, bound=bound)
+        ],
+    )
 
 
 def nabla_p(n: int, bound: int = SIZE_BOUND) -> SymFunc:
@@ -46,12 +48,11 @@ def nabla_p(n: int, bound: int = SIZE_BOUND) -> SymFunc:
         raise BoundExceeded(f"nabla_p({n}) exceeds bound {bound}")
     if n < 1:
         raise InvalidArgument(f"nabla_p needs n >= 1, got {n}")
-    total = SymFunc.zero("s")
+    terms = []
     for alpha in weak_compositions(n, n):
         path, area_alpha, below = nu_alpha(alpha)
-        weight = CoeffQT.monomial(below, area_alpha)
-        total = total + llt(path, bound).convert("s").scale(weight)
-    return total
+        terms.append((CoeffQT.monomial(below, area_alpha), llt(path, bound).convert("s")))
+    return linear_combination("s", terms)
 
 
 def hall_littlewood(mu: tuple[int, ...], bound: int = SIZE_BOUND) -> SymFunc:

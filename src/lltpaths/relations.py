@@ -4,22 +4,31 @@ Each verify_* function sweeps every admissible (path, point) instance of
 one family of relations at a given size and reports the failures (an
 empty failure list means the suite passed).  The suites accept an
 injectable ``llt_fn`` so that negative controls (a deliberately
-corrupted polynomial) can demonstrate their sensitivity.
+corrupted polynomial) can demonstrate their sensitivity.  ``SUITES``
+names them all.
 
 The relations are linear with coefficients in q alone, so each one is
 checked in the basis the route returns (m for ``llt`` and ``chromatic``),
 and the route's own memo is the value table every suite of a sweep
-shares.  The discrepancy lhs - sum(coeff * F(word)) of an instance is
-formed in one pass of ``symfunc.linear_combination``, with no
-intermediate SymFunc or CoeffQT per term.  Only a nonzero discrepancy is
-converted, and it is reported in the e-basis whatever the route's basis.
+shares.  An instance lhs = sum(coeff * F(word)) goes through
+``_check_instance``, which forms its discrepancy in one pass of
+``symfunc.linear_combination``, with no intermediate SymFunc or CoeffQT
+per term.  Only a nonzero discrepancy is converted, and it is reported
+in the e-basis whatever the route's basis.
 
-A bounce decomposition U s1 s2 V s3 s4 W at a start point always has
-s3 s4 equal to the two steps around that point, so the bounce sweeps
-run ``bounce_at`` only at points whose steps are the s3 s4 they accept
-(de for the bounce relations, ee for the modular and six-term ones).
-Every suite takes a size ``bound`` (default ``SIZE_BOUND``), refuses a
-larger size before any work and passes the bound on to its routes.
+The bounce relations of D'Adderio and Carlsson-Mellit act at a point
+whose bounce decomposition is U s1 s2 V de W.  Their suites are rows of
+one scope table, ``_BOUNCE_SCOPES``: the s1 s2 kinds a scope accepts,
+whether its bounce path has a single bounce point, and whether V holds
+an east step.  ``_bounce_instances`` walks the paths once and puts each
+instance into the first listed scope that holds it; ``_bounce_suite``
+checks them scope by scope.  bounceA, bounceB, bounceND, generalized and
+extended are one scope each; dual is bounceA, bounceND and generalized
+(which share no instance) with every path reversed.  s3 s4 is always the
+pair of steps around the start point, so the sweeps run ``bounce_at``
+only where those steps are de (ee for the modular and six-term ones).
+Every suite refuses a size above its ``bound`` (default ``SIZE_BOUND``)
+before any work and passes the bound on to its routes.
 
 ``recursion_evaluate`` computes the same symmetric functions from the
 axioms alone: the initial condition on n d^k e, multiplicativity at
@@ -62,7 +71,7 @@ from math import comb
 from typing import Callable, Iterator
 
 from . import memo
-from .coeffring import ZERO, CoeffQT, shared_packed
+from .coeffring import CoeffQT, shared_packed
 from .errors import BoundExceeded, NonTermination
 from .llt import chromatic, llt
 from .partitions import DEGREE_BOUND, Partition, compositions
@@ -183,90 +192,90 @@ def _bounce_points(p: SchroederPath, s34: str) -> Iterator[tuple[Point, BounceDa
                 yield (x, z), data
 
 
-def _admissible(data: BounceData, kinds: tuple[str, ...], single_point: bool, v_nd_only: bool) -> bool:
-    """Whether a bounce decomposition with s3 s4 = de is an instance of a scope.
+# suite name -> (s1 s2 kinds, whether the bounce path has a single bounce
+# point, whether V holds an east step) of the bounce instances it checks
+_BOUNCE_SCOPES = {
+    "bounceA": (("nn", "dn"), True, False),
+    "bounceB": (("nn", "nd"), True, False),
+    "bounceND": (("nd",), True, False),
+    "generalized": (("nn", "dn", "nd"), False, False),
+    "extended": (("nn", "dn", "nd"), True, True),
+}
 
-    Its s1 s2 must be among the requested kinds, its bounce path must have
-    a single bounce point or (when single_point is false) at least two,
-    and optionally its middle segment V must avoid east steps.
+
+def _bounce_instances(paths: list[SchroederPath], scopes: tuple[str, ...]) -> list[list[tuple[str, Point, tuple[str, ...]]]]:
+    """The bounce instances (word, point, decomposition) of the paths, one list per scope.
+
+    One walk over the paths visits every point whose bounce decomposition
+    ends in s3 s4 = de and puts it into the first listed scope that holds
+    it, if any.  Each list is in path order.
     """
-    _u, s12, v, _s34, _w = data.decomposition
-    count = len(data.bounce_points)
-    return s12 in kinds and (count == 1 if single_point else count >= 2) and not (v_nd_only and "e" in v)
-
-
-def _bounce_instances(paths: list[SchroederPath], kinds: tuple[str, ...], single_point: bool, v_nd_only: bool) -> Iterator[tuple[str, Point, str, tuple[str, str, str, str, str]]]:
-    """Yield (word, point, st, decomposition) for the bounce instances of a scope.
-
-    An instance is a point (x, z) with x + 1 < z whose bounce decomposition
-    ends in s3 s4 = de and is `_admissible` for the scope.
-    """
+    rows = [_BOUNCE_SCOPES[name] for name in scopes]
+    found: list[list[tuple[str, Point, tuple[str, ...]]]] = [[] for _ in scopes]
     for p in paths:
         for point, data in _bounce_points(p, "de"):
-            if _admissible(data, kinds, single_point, v_nd_only):
-                yield p.word, point, data.decomposition[1], data.decomposition
+            _u, s12, v, _s34, _w = data.decomposition
+            single, east = len(data.bounce_points) == 1, "e" in v
+            for scope, (kinds, single_point, v_east) in zip(found, rows):
+                if s12 in kinds and single == single_point and east == v_east:
+                    scope.append((p.word, point, data.decomposition))
+                    break
+    return found
 
 
-def _bounce_identity(st: str, decomposition) -> list[tuple[CoeffQT, str]]:
-    u, _s12, v, _s34, w = decomposition
-    if st == "nn":
+def _bounce_identity(decomposition) -> list[tuple[CoeffQT, str]]:
+    """The right-hand side of the bounce relation at U s1 s2 V de W."""
+    u, s12, v, _s34, w = decomposition
+    if s12 == "nn":
         return [(Q, u + "nn" + v + "ed" + w)]
-    if st == "dn":
+    if s12 == "dn":
         return [(ONE, u + "nd" + v + "ed" + w)]
-    if st == "nd":
+    if s12 == "nd":
         return [(Q - 1, u + "nd" + v + "ed" + w), (Q, u + "dn" + v + "ed" + w)]
-    raise AssertionError(st)
+    raise AssertionError(s12)
 
 
-def _run_bounce_suite(
-    name: str,
-    n: int,
-    kinds: tuple[str, ...],
-    single_point: bool,
-    v_nd_only: bool,
-    llt_fn: LltFn | None,
-    bound: int,
-) -> RelationReport:
+def _bounce_suite(name: str, n: int, scopes: tuple[str, ...], reverse_paths: bool, llt_fn: LltFn | None, bound: int) -> RelationReport:
+    """Check the bounce instances of the scopes at size n, scope by scope.
+
+    With `reverse_paths`, every path of every instance is reversed.
+    """
     fn = _route(n, llt_fn, llt, bound)
     report = RelationReport(name)
-    for word, point, st, decomposition in _bounce_instances(enumerate_paths(n, bound=bound), kinds, single_point, v_nd_only):
-        _check_instance(report, fn, point, word, _bounce_identity(st, decomposition))
+    flip = (lambda word: reverse(parse(word)).word) if reverse_paths else (lambda word: word)
+    for scope in _bounce_instances(enumerate_paths(n, bound=bound), scopes):
+        for word, point, decomposition in scope:
+            terms = [(c, flip(w)) for c, w in _bounce_identity(decomposition)]
+            _check_instance(report, fn, point, flip(word), terms)
     return report
 
 
 def verify_bounce_A(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """Single-bounce-point relations with s1 s2 in {nn, dn} and V in {n,d}*."""
-    return _run_bounce_suite("bounceA", n, ("nn", "dn"), True, True, llt_fn, bound)
+    return _bounce_suite("bounceA", n, ("bounceA",), False, llt_fn, bound)
 
 
 def verify_bounce_B(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """Single-bounce-point relations with s1 s2 in {nn, nd} and V in {n,d}*."""
-    return _run_bounce_suite("bounceB", n, ("nn", "nd"), True, True, llt_fn, bound)
+    return _bounce_suite("bounceB", n, ("bounceB",), False, llt_fn, bound)
 
 
 def verify_bounce_nd(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """The two-term nd relation with coefficients (q-1) and q."""
-    return _run_bounce_suite("bounceND", n, ("nd",), True, True, llt_fn, bound)
+    return _bounce_suite("bounceND", n, ("bounceND",), False, llt_fn, bound)
 
 
 def verify_generalized_bounce(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """The three bounce relations at points whose bounce path has >= 2 bounce points."""
-    return _run_bounce_suite("generalized", n, ("nn", "dn", "nd"), False, True, llt_fn, bound)
+    return _bounce_suite("generalized", n, ("generalized",), False, llt_fn, bound)
 
 
 def verify_extended_bounce(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
-    """Optional wider scope: single-bounce relations with east steps allowed in V.
+    """Optional wider scope: single-bounce relations with east steps in V.
 
     Reported separately; not part of the acceptance gate.
     """
-    fn = _route(n, llt_fn, llt, bound)
-    report = RelationReport("extended")
-    for word, point, st, decomposition in _bounce_instances(enumerate_paths(n, bound=bound), ("nn", "dn", "nd"), True, False):
-        if "e" not in decomposition[2]:
-            continue  # covered by the standard suites
-        terms = _bounce_identity(st, decomposition)
-        _check_instance(report, fn, point, word, terms)
-    return report
+    return _bounce_suite("extended", n, ("extended",), False, llt_fn, bound)
 
 
 def sarrus_terms(u: str, v: str, w: str) -> tuple[list[str], list[str]]:
@@ -325,31 +334,13 @@ def verify_dyck_relations(n: int, llt_fn: LltFn | None = None, bound: int = SIZE
     return report
 
 
-# (kinds, single_point) of the scopes of the dual suite: those of bounceA,
-# bounceND and generalized, which share no instance
-_DUAL_SCOPES = ((("nn", "dn"), True), (("nd",), True), (("nn", "dn", "nd"), False))
-
-
 def verify_dual_bounce(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """Every bounce-relation instance holds with all paths reversed.
 
-    One pass over the paths sorts the instances into the three scopes, and
-    they are checked scope by scope, each in path order.
+    The instances are those of bounceA, bounceND and generalized, which
+    share none, checked scope by scope, each in path order.
     """
-    fn = _route(n, llt_fn, llt, bound)
-    report = RelationReport("dual")
-    scopes: list[list[tuple[SchroederPath, Point, tuple[str, str, str, str, str]]]] = [[] for _ in _DUAL_SCOPES]
-    for p in enumerate_paths(n, bound=bound):
-        for point, data in _bounce_points(p, "de"):
-            for scope, (kinds, single_point) in zip(scopes, _DUAL_SCOPES):
-                if _admissible(data, kinds, single_point, True):
-                    scope.append((p, point, data.decomposition))
-                    break
-    for scope in scopes:
-        for p, point, decomposition in scope:
-            terms = _bounce_identity(decomposition[1], decomposition)
-            _check_instance(report, fn, point, reverse(p).word, [(c, reverse(parse(w)).word) for c, w in terms])
-    return report
+    return _bounce_suite("dual", n, ("bounceA", "bounceND", "generalized"), True, llt_fn, bound)
 
 
 def verify_chromatic_relations(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
@@ -408,12 +399,10 @@ def dyck_path_graph_formula(k: int, bound: int = SIZE_BOUND) -> SymFunc:
     `bound` limits the path size k+1."""
     if k + 1 > bound:
         raise BoundExceeded(f"path graph on size {k + 1} exceeds bound {bound}")
-    coeffs: dict[tuple[int, ...], CoeffQT] = {}
-    for alpha in compositions(k + 1):
-        lam = tuple(sorted(alpha, reverse=True))
-        c = coeffs.get(lam, ZERO) + (Q - 1) ** (k + 1 - len(alpha))
-        coeffs[lam] = c
-    return SymFunc("e", coeffs)
+    return linear_combination(
+        "e",
+        [((Q - 1) ** (k + 1 - len(alpha)), {tuple(sorted(alpha, reverse=True)): 1}) for alpha in compositions(k + 1)],
+    )
 
 
 def recursion_evaluate(path: SchroederPath | str, bound: int = SIZE_BOUND) -> SymFunc:

@@ -20,12 +20,12 @@ basis; that triple agreement is an acceptance criterion.
 
 from __future__ import annotations
 
-from .coeffring import ZERO, CoeffQT
+from .coeffring import CoeffQT
 from .errors import BoundExceeded
 from .llt import coloring_backtrack, llt_via_orientations
 from .partitions import conjugate, kostka, partitions_of
 from .schroeder import SIZE_BOUND, SchroederPath, graph
-from .symfunc import SymFunc, straighten_schur
+from .symfunc import SymFunc, linear_combination, straighten_schur
 
 
 def _permutations_with_ascents(path: SchroederPath) -> list[tuple[tuple[int, ...], int]]:
@@ -72,19 +72,13 @@ def elw_schur(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     n = path.size
     if n > bound:
         raise BoundExceeded(f"size {n} exceeds bound {bound}")
-    coeffs: dict[tuple[int, ...], CoeffQT] = {}
+    terms = []
     for sigma, asc in _permutations_with_ascents(path):
         straightened = straighten_schur(alpha_of_sigma(sigma))
-        if straightened is None:
-            continue
-        sign, lam = straightened
-        term = CoeffQT.monomial(asc, 0, sign)
-        s = coeffs.get(lam, ZERO) + term
-        if s.is_zero():
-            coeffs.pop(lam, None)
-        else:
-            coeffs[lam] = s
-    return SymFunc("s", coeffs)
+        if straightened is not None:
+            sign, lam = straightened
+            terms.append((CoeffQT.monomial(asc, 0, sign), {lam: 1}))
+    return linear_combination("s", terms)
 
 
 def kostka_schur(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
@@ -92,14 +86,10 @@ def kostka_schur(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     n = path.size
     if n > bound:
         raise BoundExceeded(f"size {n} exceeds bound {bound}")
-    coeffs: dict[tuple[int, ...], CoeffQT] = {}
-    for lam, weight in llt_via_orientations(path, bound).coeffs.items():
-        for mu in partitions_of(n):
-            k = kostka(conjugate(mu), lam)
-            if k:
-                s = coeffs.get(mu, ZERO) + weight * k
-                if s.is_zero():
-                    coeffs.pop(mu, None)
-                else:
-                    coeffs[mu] = s
-    return SymFunc("s", coeffs)
+    return linear_combination(
+        "s",
+        [
+            (weight, {mu: k for mu in partitions_of(n) if (k := kostka(conjugate(mu), lam))})
+            for lam, weight in llt_via_orientations(path, bound).coeffs.items()
+        ],
+    )

@@ -211,6 +211,16 @@ def test_verify_failure_exits_1_with_a_report(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--suite", "unicellular", "--max-n", "2", "--json")
     assert code == 1
     assert json.loads(out)["result"]["suites"] == report["failed_suites"]
+    # with every suite run, the report holds only the failing one
+    code, out = run(capsys, "verify", "--suite", "all", "--max-n", "2")
+    assert code == 1
+    report = json.loads(out.splitlines()[-1])
+    assert [(s["suite"], s["passed"]) for s in report["failed_suites"]] == [("unicellular", False)]
+    code, out = run(capsys, "verify", "--suite", "all", "--max-n", "2", "--json")
+    assert code == 1
+    suites = json.loads(out)["result"]["suites"]
+    assert [s["suite"] for s in suites] == [name for name in relations.SUITES if name != "extended"]
+    assert [s for s in suites if not s["passed"]] == report["failed_suites"]
 
 
 def test_expand_witness_counts_orientations_without_enumerating(capsys):

@@ -25,7 +25,7 @@ from lltpaths.relations import (
     verify_generalized_bounce,
     verify_unicellular,
 )
-from lltpaths.schroeder import SIZE_BOUND, area, bounce_at, enumerate_paths, parse, reverse
+from lltpaths.schroeder import area, bounce_at, enumerate_paths, parse, reverse
 from lltpaths.symfunc import SymFunc
 
 Q = CoeffQT.q()
@@ -201,34 +201,23 @@ def _bounce_everywhere(p):
                 yield (x, z), data
 
 
-# (kinds, single_point, v_nd_only) of bounceA, bounceB, bounceND, generalized
-# (and the three scopes of dual), and extended.
-BOUNCE_SCOPES = [
-    (("nn", "dn"), True, True),
-    (("nn", "nd"), True, True),
-    (("nd",), True, True),
-    (("nn", "dn", "nd"), False, True),
-    (("nn", "dn", "nd"), True, False),
-]
-
-
 def test_bounce_prefilter_keeps_every_instance(monkeypatch):
     seen = []
     monkeypatch.setattr(relations, "_check_instance", lambda report, fn, point, lhs, terms: seen.append(point))
     for n in range(1, 7):
         paths = enumerate_paths(n)
         everywhere = {p.word: list(_bounce_everywhere(p)) for p in paths}
-        for kinds, single_point, v_nd_only in BOUNCE_SCOPES:
+        for name, (kinds, single_point, v_east) in relations._BOUNCE_SCOPES.items():
             want = set()
             for word, points in everywhere.items():
                 for point, data in points:
                     u, s12, v, s34, w = data.decomposition
-                    if s34 != "de" or s12 not in kinds or (v_nd_only and "e" in v):
+                    if s34 != "de" or s12 not in kinds or ("e" in v) != v_east:
                         continue
                     if (len(data.bounce_points) == 1) == single_point:
-                        want.add((word, point, s12, data.decomposition))
-            got = list(relations._bounce_instances(paths, kinds, single_point, v_nd_only))
-            assert len(got) == len(set(got)) and set(got) == want, (n, kinds, single_point, v_nd_only)
+                        want.add((word, point, data.decomposition))
+            [got] = relations._bounce_instances(paths, (name,))
+            assert len(got) == len(set(got)) and set(got) == want, (n, name)
 
         # the modular sweep: the points at which it checks an instance, path by path
         for p in paths:
@@ -343,9 +332,8 @@ def test_recursion_evaluate_matches_colorings():
 
 
 def test_dual_one_pass_equals_the_three_scope_passes():
-    # the reference runs the scopes of bounceA, bounceND and generalized as three
-    # passes of the standard suites, through a route that reverses every path,
-    # and reverses the failure paths back
+    # the reference runs the public suites bounceA, bounceND and generalized
+    # through a route that reverses every path, and reverses the failure paths back
     def corrupted(p):  # mixes two statistics, so every scope with instances fails
         k = len(p.word) - len(p.word.lstrip("n"))
         return llt(p) + SymFunc.basis_element("m", (p.size,), CoeffQT.q(k) * area(p))
@@ -353,8 +341,8 @@ def test_dual_one_pass_equals_the_three_scope_passes():
     for fn in (llt, corrupted):
         for n in range(1, 7):
             want = relations.RelationReport("dual")
-            for kinds, single_point in ((("nn", "dn"), True), (("nd",), True), (("nn", "dn", "nd"), False)):
-                sub = relations._run_bounce_suite("dual", n, kinds, single_point, True, lambda p: fn(reverse(p)), SIZE_BOUND)
+            for name in ("bounceA", "bounceND", "generalized"):
+                sub = SUITES[name](n, llt_fn=lambda p: fn(reverse(p)))
                 want.instances += sub.instances
                 want.failures += [dict(f, paths=[reverse(parse(w)).word for w in f["paths"]]) for f in sub.failures]
             got = verify_dual_bounce(n, llt_fn=fn)

@@ -228,6 +228,24 @@ def test_linear_combination_reads_plain_rows_and_checks_the_basis():
         linear_combination("m", [(1, SymFunc.basis_element("e", (2,)))])
 
 
+def test_add_and_sub_check_the_basis_and_return_canonical_results():
+    f = SymFunc("e", {(2,): CoeffQT({(1, 0): Fraction(1, 2), (0, 0): 3}), (1, 1): Q})
+    g = SymFunc("e", {(2,): CoeffQT({(1, 0): Fraction(1, 2)}), (1, 1): Q, (1,): -1})
+    for op in (SymFunc.__add__, SymFunc.__sub__):
+        with pytest.raises(LLTError):
+            op(f, g.convert("m"))
+        assert op(f, {(2,): 1}) is NotImplemented
+    total, difference = f + g, f - g
+    assert total == SymFunc("e", {(2,): CoeffQT({(1, 0): 1, (0, 0): 3}), (1, 1): Q * 2, (1,): -1})
+    assert difference == SymFunc("e", {(2,): 3, (1,): 1})
+    assert type(total.coeffs[(2,)].terms[(1, 0)]) is int
+    assert_canonical(total)
+    assert_canonical(difference)
+    assert (f - f).coeffs == {}
+    with pytest.raises(TypeError):
+        f + {(2,): 1}
+
+
 def _per_term(basis, f, row):
     """sum of c * row(lam) over the terms of f, one CoeffQT operation per entry."""
     out = {}
