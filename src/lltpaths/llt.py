@@ -188,8 +188,8 @@ def _m_expansion(lower, n: int) -> SymFunc:
     at least k, a suffix of the slots, and appending k maps that suffix in
     order onto the block of partitions of m+k whose smallest part is k.
     So a class of size k with a ascents adds (value >> slot * lo[m][k]) <<
-    width * a to block k of its target, and a target assembles its int
-    from its blocks once, when its turn comes.
+    (width * a + slot * lo[m+k][k]) to the int of its target: the blocks of
+    a target hold disjoint slots, so they add into one int without a carry.
 
     No carry crosses a digit or a slot: no count exceeds n!, whose bit
     length is the digit width, and no coloring has more ascents than the
@@ -215,24 +215,23 @@ def _m_expansion(lower, n: int) -> SymFunc:
     for m in range(n + 1):
         lo = partition_slots(m)[1]
         start.append([slot * i for i in lo] + [slot * lo[-1]] * (n - m - 1))
+    # into[m][k]: the bit offset of block k among the partitions of m + k, where
+    # a class of size k lands when m vertices are coloured
+    into = [[0] + [start[m + k][k] for k in range(1, n - m + 1)] for m in range(n + 1)]
     everyone = (1 << n) - 1
-    # coloured set -> {k: block k of its int}; a class is nonempty, so the
-    # coloured set grows as an int and one ascending pass visits every state.
-    # The empty set holds the empty partition, as a block at offset 0.
-    table: list[dict[int, int] | None] = [None] * (everyone + 1)
-    table[0] = {0: 1}
+    # coloured set -> its int, 0 until a class reaches it; a class is nonempty,
+    # so the coloured set grows as an int and one ascending pass visits every
+    # state.  The empty set holds the empty partition, in slot 0.
+    table = [0] * (everyone + 1)
+    table[0] = 1
     for coloured in range(everyone + 1):
-        blocks = table[coloured]
-        if blocks is None:
+        value = table[coloured]
+        if not value:
             continue
-        table[coloured] = None
+        table[coloured] = 0
         m = coloured.bit_count()
-        offsets = start[m]
-        value = 0
-        for k, block in blocks.items():
-            value += block << offsets[k]
         suffix = [0]  # suffix[k]: the slots that a class of size k may follow
-        for offset in offsets[1 : n + 1 - m]:
+        for offset in start[m][1 : n + 1 - m]:
             tail = value >> offset
             if not tail:
                 break
@@ -244,15 +243,9 @@ def _m_expansion(lower, n: int) -> SymFunc:
                 continue
             bit, gain = 1 << v, width * (rise[v] & coloured).bit_count()
             classes += [(s | bit, k + 1, a + gain) for (s, k, a) in classes if k < cap and not s & clash[v]]
+        lands = into[m]
         for members, k, shift in classes[1:]:
-            members |= coloured
-            target = table[members]
-            if target is None:
-                table[members] = {k: suffix[k] << shift}
-            elif k in target:
-                target[k] += suffix[k] << shift
-            else:
-                target[k] = suffix[k] << shift
+            table[members | coloured] += suffix[k] << (shift + lands[k])
     # the last state visited colours every vertex (one vertex per class, in
     # order, is always a coloring), and its value holds the m-coefficients
     order = partition_slots(n)[0]

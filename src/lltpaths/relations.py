@@ -7,28 +7,58 @@ injectable ``llt_fn`` so that negative controls (a deliberately
 corrupted polynomial) can demonstrate their sensitivity.  ``SUITES``
 names them all.
 
-The relations are linear with coefficients in q alone, so each one is
-checked in the basis the route returns (m for ``llt`` and ``chromatic``),
-and the route's own memo is the value table every suite of a sweep
-shares.  An instance lhs = sum(coeff * F(word)) goes through
-``_check_instance``, which forms its discrepancy in one pass of
-``symfunc.linear_combination``, with no intermediate SymFunc or CoeffQT
-per term.  Only a nonzero discrepancy is converted, and it is reported
-in the e-basis whatever the route's basis.
+The relations are linear with coefficients in q alone.  An instance
+lhs = sum(scalar * F(word)) of size n is checked by ``_Suite.check`` as
+one int expression over packed values, and a passing instance costs a
+zero test.  The packed layout of size n has P slots, one per partition
+lam of n (in ``partitions_of`` order), and signed digits of width W, the
+least with 2^(W-4) > n!.  The q-exponent comes first: c q^a b_lam sits at
+bit W (P a + slot(lam)), so multiplying by q is a shift by W P and a
+value's int grows only with its degree.  Each instance scalar (1, -1, q,
+-q, q-1, q+1, held as its q-coefficients) becomes the int of the same
+layout, and the discrepancy is lhs - sum(scalar * value) on ints.
+
+A value packs only if its basis is the suite's (m for the default routes,
+the first value's for an injected one), every lam is a partition of n,
+every coefficient is an int below 2^(W-4) in absolute value, every
+t-exponent is 0 and every q-exponent is >= 0.  The proof that the int
+then tests the discrepancy exactly: the scalars of an instance, the 1 of
+the left-hand side included, have 1-norm at most 6 (the six-term
+relation; the others have 2 or 4).  So every digit d of the discrepancy,
+a polynomial in q over the b_lam, has |d| <= 6 (2^(W-4) - 1) < 2^(W-1).
+Packing is a ring homomorphism, so the int is the sum of d X^i over the
+discrepancy's digits, X = 2^W and i the digit's place in the layout.  If
+d X^k is the top nonzero term, the lower terms sum to at most
+(X - 1)(1 + X + ... + X^(k-1)) = X^k - 1 < |d X^k| in absolute value, so
+the int is 0 exactly when the discrepancy is 0.  The default routes
+always pack: an m-coefficient of ``llt`` or ``chromatic`` counts colorings
+of one content, at most n!.  Anything else, rational or t-terms from an
+injected ``llt_fn``, another basis, or a coefficient at the digit bound,
+makes its instances take the exact path, as does a nonzero discrepancy:
+``symfunc.linear_combination`` forms the discrepancy of the route's
+values, and ``_record`` converts a nonzero one to e and records it.  So
+failure records do not depend on the packing.
+
+The default routes' packed values are kept in ``_PACKED_VALUES``, keyed
+by (route, word) and filled through the public ``llt`` and ``chromatic``
+with the suite's bound; every suite of a sweep reads them there.  An
+injected ``llt_fn`` packs into a table local to the call.
 
 The bounce relations of D'Adderio and Carlsson-Mellit act at a point
 whose bounce decomposition is U s1 s2 V de W.  Their suites are rows of
 one scope table, ``_BOUNCE_SCOPES``: the s1 s2 kinds a scope accepts,
 whether its bounce path has a single bounce point, and whether V holds
-an east step.  ``_bounce_instances`` walks the paths once and puts each
-instance into the first listed scope that holds it; ``_bounce_suite``
-checks them scope by scope.  bounceA, bounceB, bounceND, generalized and
-extended are one scope each; dual is bounceA, bounceND and generalized
-(which share no instance) with every path reversed.  s3 s4 is always the
-pair of steps around the start point, so the sweeps run ``bounce_at``
-only where those steps are de (ee for the modular and six-term ones).
-Every suite refuses a size above its ``bound`` (default ``SIZE_BOUND``)
-before any work and passes the bound on to its routes.
+an east step.  ``_bounce_walk`` walks the paths of a size once per s3 s4
+and keeps one compact record per decomposed point in ``_BOUNCE_WALKS``,
+keyed by (n, s3 s4); ``_bounce_instances`` filters the de records by a
+scope's row, and ``_modular_instances`` reads the ee records.
+bounceA, bounceB, bounceND, generalized and extended are one scope each;
+dual is bounceA, bounceND and generalized (which share no instance), one
+after the other, with every path reversed.  s3 s4 is always the pair of
+steps around the start point, so the walk runs ``bounce_at`` only where
+those steps are de or ee.  Every suite refuses a size above its ``bound``
+(default ``SIZE_BOUND``) before any work and passes the bound on to its
+routes.
 
 ``recursion_evaluate`` computes the same symmetric functions from the
 axioms alone: the initial condition on n d^k e, multiplicativity at
@@ -67,14 +97,14 @@ stored values are read back.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, factorial
 from typing import Callable, Iterator
 
 from . import memo
 from .coeffring import CoeffQT, shared_packed
 from .errors import BoundExceeded, NonTermination
 from .llt import chromatic, llt
-from .partitions import DEGREE_BOUND, Partition, compositions
+from .partitions import DEGREE_BOUND, Partition, compositions, partitions_of
 from .schroeder import (
     SIZE_BOUND,
     BounceData,
@@ -102,7 +132,21 @@ _WIDTH = (3 ** comb(DEGREE_BOUND, 2)).bit_length() + 1
 _EVAL_DEPTH_BOUND = 200
 
 Q = CoeffQT.q()
-ONE = CoeffQT.one()
+
+# An instance scalar: the coefficients of a polynomial in q, constant first.
+Scalar = tuple[int, ...]
+S_ONE, S_MINUS_ONE, S_Q, S_MINUS_Q, S_Q_MINUS_1, S_Q_PLUS_1 = (1,), (-1,), (0, 1), (0, -1), (-1, 1), (1, 1)
+Terms = list[tuple[Scalar, str]]
+
+# The default routes' values, (route, word) -> the value packed in the layout
+# of its size (None if it does not pack), see _Suite.
+_PACKED_VALUES: dict[tuple[str, str], int | None] = memo.table("_PACKED_VALUES")
+# (n, s3 s4) -> one record (word, point, end index, start index, kind) per
+# decomposed point of the paths of size n, see _bounce_walk.
+Record = tuple[str, Point, int, int, tuple[str, bool, bool]]
+_BOUNCE_WALKS: dict[tuple[int, str], list[Record]] = memo.table("_BOUNCE_WALKS")
+
+_ABSENT = object()
 
 
 @dataclass
@@ -139,41 +183,93 @@ def _record(report: RelationReport, paths: list[str], point, acc: SymFunc) -> No
         report.failures.append({"paths": paths, "point": point, "discrepancy": acc.convert("e")})
 
 
-def _check_instance(
-    report: RelationReport,
-    fn: LltFn,
-    point,
-    lhs_word: str,
-    rhs_terms: list[tuple[CoeffQT, str]],
-) -> None:
-    """Record an instance lhs = sum(coeff * F(word)) and its discrepancy, if any."""
-    report.instances += 1
-    lhs = fn(parse(lhs_word))
-    acc = linear_combination(
-        lhs.basis, [(1, lhs)] + [(-coeff, fn(parse(word))) for coeff, word in rhs_terms]
-    )
-    _record(report, [lhs_word] + [w for _, w in rhs_terms], point, acc)
+class _Suite:
+    """One suite call at size n: its report, its route, and the packed check of its instances.
 
+    A size above `bound` is refused before any work.  `route` names the
+    default route ("llt" or "chromatic"), which `llt_fn` replaces if given.
+    """
 
-def _route(n: int, llt_fn: LltFn | None, default: Callable[[SchroederPath, int], SymFunc], bound: int) -> LltFn:
-    """The polynomial route of a suite at size n; a size above `bound` is refused before any work."""
-    if n > bound:
-        raise BoundExceeded(f"size {n} exceeds bound {bound}")
-    return llt_fn or (lambda p: default(p, bound))
+    def __init__(self, name: str, n: int, llt_fn: LltFn | None, route: str, bound: int):
+        if n > bound:
+            raise BoundExceeded(f"size {n} exceeds bound {bound}")
+        self.report = RelationReport(name)
+        self.route = route
+        if llt_fn is None:
+            default = llt if route == "llt" else chromatic
+            self.fn: LltFn = lambda p: default(p, bound)
+            self.basis: str | None = "m"
+            self.values: dict[tuple[str, str], int | None] = _PACKED_VALUES
+        else:
+            self.fn, self.basis, self.values = llt_fn, None, {}
+        partitions = partitions_of(n, bound=n)
+        self.slots = {lam: i for i, lam in enumerate(partitions)}
+        self.width = factorial(n).bit_length() + 4
+        self.step = self.width * len(partitions)  # the shift that multiplies by q
+        self.scalars: dict[Scalar, int] = {}
+
+    def pack(self, f: SymFunc) -> int | None:
+        """f in the packed layout of the size, or None if it does not pack."""
+        if self.basis is None:
+            self.basis = f.basis
+        if f.basis != self.basis:
+            return None
+        width, limit = self.width, 1 << (self.width - 4)
+        rows: dict[int, int] = {}  # q-exponent -> its row of slots
+        for lam, c in f.coeffs.items():
+            slot = self.slots.get(lam)
+            if slot is None:
+                return None
+            for (a, t), v in c.terms.items():
+                if t or a < 0 or v.__class__ is not int or not -limit < v < limit:
+                    return None
+                rows[a] = rows.get(a, 0) + (v << width * slot)
+        out = 0
+        for a in range(max(rows, default=-1), -1, -1):
+            out = (out << self.step) + rows.get(a, 0)
+        return out
+
+    def packed(self, word: str) -> int | None:
+        """The packed value of the route at the word; inserts are idempotent."""
+        key = (self.route, word)
+        value = self.values.get(key, _ABSENT)
+        if value is _ABSENT:
+            value = self.values[key] = self.pack(self.fn(parse(word)))
+        return value
+
+    def scalar(self, s: Scalar) -> int:
+        value = self.scalars.get(s)
+        if value is None:
+            value = self.scalars[s] = sum(c << self.step * i for i, c in enumerate(s))
+        return value
+
+    def check(self, point, lhs_word: str, terms: Terms) -> None:
+        """Record an instance lhs = sum(scalar * F(word)) and its discrepancy, if any."""
+        self.report.instances += 1
+        acc = self.packed(lhs_word)
+        for s, word in terms:
+            if acc is None:
+                break
+            value = self.packed(word)
+            acc = None if value is None else acc - self.scalar(s) * value
+        if acc == 0:
+            return
+        lhs = self.fn(parse(lhs_word))
+        negated = [(CoeffQT({(i, 0): -c for i, c in enumerate(s)}), self.fn(parse(word))) for s, word in terms]
+        _record(self.report, [lhs_word] + [word for _, word in terms], point, linear_combination(lhs.basis, [(1, lhs)] + negated))
 
 
 def verify_unicellular(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """F_{U n e V} - F_{U e n V} = (q - 1) F_{U d V} over all U d V of size n."""
-    fn = _route(n, llt_fn, llt, bound)
-    report = RelationReport("unicellular")
+    suite = _Suite("unicellular", n, llt_fn, "llt", bound)
     for p in enumerate_paths(n, bound=bound):
         word = p.word
         for i, step in enumerate(word):
             if step != "d":
                 continue
             u, v = word[:i], word[i + 1 :]
-            _check_instance(report, fn, None, u + "ne" + v, [(ONE, u + "en" + v), (Q - 1, word)])
-    return report
+            suite.check(None, u + "ne" + v, [(S_ONE, u + "en" + v), (S_Q_MINUS_1, word)])
+    return suite.report
 
 
 def _bounce_points(p: SchroederPath, s34: str) -> Iterator[tuple[Point, BounceData]]:
@@ -192,6 +288,35 @@ def _bounce_points(p: SchroederPath, s34: str) -> Iterator[tuple[Point, BounceDa
                 yield (x, z), data
 
 
+def _bounce_walk(n: int, s34: str, bound: int) -> list[Record]:
+    """The records of every point of a path of size n whose decomposition ends in s3 s4 = s34.
+
+    A record is (word, point, end index, start index, kind), with kind the
+    (s1 s2, whether the bounce path has a single bounce point, whether V
+    holds an east step) of the point; paths come in word order and points
+    in path order.  The walk runs once per (n, s34); its records are kept in
+    ``_BOUNCE_WALKS`` and share their words and kinds.
+    """
+    key = (n, s34)
+    records = _BOUNCE_WALKS.get(key)
+    if records is None:
+        kinds: dict[tuple[str, bool, bool], tuple[str, bool, bool]] = {}
+        records = []
+        for p in enumerate_paths(n, bound=bound):
+            word = p.word
+            for point, data in _bounce_points(p, s34):
+                e, s = data.end_index, data.start_index
+                kind = (word[e - 1 : e + 1], len(data.bounce_points) == 1, "e" in word[e + 1 : s - 1])
+                records.append((word, point, e, s, kinds.setdefault(kind, kind)))
+        _BOUNCE_WALKS[key] = records
+    return records
+
+
+def _decomposition(word: str, e: int, s: int) -> tuple[str, str, str, str, str]:
+    """U, s1 s2, V, s3 s4, W of the word, around the end index e and the start index s."""
+    return word[: e - 1], word[e - 1 : e + 1], word[e + 1 : s - 1], word[s - 1 : s + 1], word[s + 1 :]
+
+
 # suite name -> (s1 s2 kinds, whether the bounce path has a single bounce
 # point, whether V holds an east step) of the bounce instances it checks
 _BOUNCE_SCOPES = {
@@ -203,35 +328,24 @@ _BOUNCE_SCOPES = {
 }
 
 
-def _bounce_instances(paths: list[SchroederPath], scopes: tuple[str, ...]) -> list[list[tuple[str, Point, tuple[str, ...]]]]:
-    """The bounce instances (word, point, decomposition) of the paths, one list per scope.
-
-    One walk over the paths visits every point whose bounce decomposition
-    ends in s3 s4 = de and puts it into the first listed scope that holds
-    it, if any.  Each list is in path order.
-    """
-    rows = [_BOUNCE_SCOPES[name] for name in scopes]
-    found: list[list[tuple[str, Point, tuple[str, ...]]]] = [[] for _ in scopes]
-    for p in paths:
-        for point, data in _bounce_points(p, "de"):
-            _u, s12, v, _s34, _w = data.decomposition
-            single, east = len(data.bounce_points) == 1, "e" in v
-            for scope, (kinds, single_point, v_east) in zip(found, rows):
-                if s12 in kinds and single == single_point and east == v_east:
-                    scope.append((p.word, point, data.decomposition))
-                    break
-    return found
+def _bounce_instances(n: int, scope: str, bound: int) -> Iterator[tuple[str, Point, tuple[str, str, str, str, str]]]:
+    """The bounce instances (word, point, decomposition) of one scope at size n, in path order."""
+    s12s, single_point, v_east = _BOUNCE_SCOPES[scope]
+    accepted = {(s12, single_point, v_east) for s12 in s12s}
+    for word, point, e, s, kind in _bounce_walk(n, "de", bound):
+        if kind in accepted:
+            yield word, point, _decomposition(word, e, s)
 
 
-def _bounce_identity(decomposition) -> list[tuple[CoeffQT, str]]:
+def _bounce_identity(decomposition) -> Terms:
     """The right-hand side of the bounce relation at U s1 s2 V de W."""
     u, s12, v, _s34, w = decomposition
     if s12 == "nn":
-        return [(Q, u + "nn" + v + "ed" + w)]
+        return [(S_Q, u + "nn" + v + "ed" + w)]
     if s12 == "dn":
-        return [(ONE, u + "nd" + v + "ed" + w)]
+        return [(S_ONE, u + "nd" + v + "ed" + w)]
     if s12 == "nd":
-        return [(Q - 1, u + "nd" + v + "ed" + w), (Q, u + "dn" + v + "ed" + w)]
+        return [(S_Q_MINUS_1, u + "nd" + v + "ed" + w), (S_Q, u + "dn" + v + "ed" + w)]
     raise AssertionError(s12)
 
 
@@ -240,14 +354,13 @@ def _bounce_suite(name: str, n: int, scopes: tuple[str, ...], reverse_paths: boo
 
     With `reverse_paths`, every path of every instance is reversed.
     """
-    fn = _route(n, llt_fn, llt, bound)
-    report = RelationReport(name)
+    suite = _Suite(name, n, llt_fn, "llt", bound)
     flip = (lambda word: reverse(parse(word)).word) if reverse_paths else (lambda word: word)
-    for scope in _bounce_instances(enumerate_paths(n, bound=bound), scopes):
-        for word, point, decomposition in scope:
+    for scope in scopes:
+        for word, point, decomposition in _bounce_instances(n, scope, bound):
             terms = [(c, flip(w)) for c, w in _bounce_identity(decomposition)]
-            _check_instance(report, fn, point, flip(word), terms)
-    return report
+            suite.check(point, flip(word), terms)
+    return suite.report
 
 
 def verify_bounce_A(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
@@ -293,45 +406,36 @@ def sarrus_terms(u: str, v: str, w: str) -> tuple[list[str], list[str]]:
     return plus, minus
 
 
-def _modular_sweep(report: RelationReport, fn: LltFn, paths: list[SchroederPath]) -> None:
-    """The modular relation and the six-term relation at every admissible point of the paths.
+def _modular_instances(n: int, dyck_only: bool, bound: int) -> Iterator[tuple[str, Point, str, Terms]]:
+    """(word, point, lhs word, rhs terms) of the modular and six-term relations at size n.
 
     An instance needs a single bounce point (always the case on a Dyck
     path) and a bounce decomposition ending in s3 s4 = ee with V ending
-    in n.
+    in n.  With `dyck_only`, only the Dyck paths' points are read.
     """
-    for p in paths:
-        word = p.word
-        for (x, z), data in _bounce_points(p, "ee"):
-            if len(data.bounce_points) != 1:
-                continue
-            u, s12, vseg, _s34, w = data.decomposition
-            if not vseg or vseg[-1] != "n":
-                continue
-            v = vseg[:-1]
-            if s12 == "nn":
-                # modular relation
-                _check_instance(
-                    report,
-                    fn,
-                    (x, z),
-                    u + "nn" + v + "nee" + w,
-                    [(Q + 1, u + "nn" + v + "ene" + w), (-Q, u + "nn" + v + "een" + w)],
-                )
-            if s12 == "en" and u and u[-1] == "n":
-                # six-term relation in its Sarrus form: sum(plus) - sum(minus) = 0
-                plus, minus = sarrus_terms(u[:-1], v, w)
-                assert word in plus or word in minus
-                terms = [(-ONE, pw) for pw in plus[1:]] + [(ONE, mw) for mw in minus]
-                _check_instance(report, fn, (x, z), plus[0], terms)
+    for word, point, e, s, (_s12, single, _east) in _bounce_walk(n, "ee", bound):
+        if not single or (dyck_only and "d" in word):
+            continue
+        u, s12, vseg, _s34, w = _decomposition(word, e, s)
+        if not vseg or vseg[-1] != "n":
+            continue
+        v = vseg[:-1]
+        if s12 == "nn":
+            # modular relation
+            yield word, point, u + "nn" + v + "nee" + w, [(S_Q_PLUS_1, u + "nn" + v + "ene" + w), (S_MINUS_Q, u + "nn" + v + "een" + w)]
+        if s12 == "en" and u and u[-1] == "n":
+            # six-term relation in its Sarrus form: sum(plus) - sum(minus) = 0
+            plus, minus = sarrus_terms(u[:-1], v, w)
+            assert word in plus or word in minus
+            yield word, point, plus[0], [(S_MINUS_ONE, pw) for pw in plus[1:]] + [(S_ONE, mw) for mw in minus]
 
 
 def verify_dyck_relations(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """The modular relation and the six-term relation on all admissible points."""
-    fn = _route(n, llt_fn, llt, bound)
-    report = RelationReport("dyck")
-    _modular_sweep(report, fn, enumerate_paths(n, bound=bound))
-    return report
+    suite = _Suite("dyck", n, llt_fn, "llt", bound)
+    for _word, point, lhs, terms in _modular_instances(n, False, bound):
+        suite.check(point, lhs, terms)
+    return suite.report
 
 
 def verify_dual_bounce(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
@@ -346,9 +450,10 @@ def verify_dual_bounce(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BO
 def verify_chromatic_relations(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """Dyck relations, multiplicativity, and the path-graph initial condition
     for the chromatic quasisymmetric functions."""
-    fn = _route(n, llt_fn, chromatic, bound)
-    report = RelationReport("chromatic")
-    _modular_sweep(report, fn, enumerate_paths(n, dyck_only=True, bound=bound))
+    suite = _Suite("chromatic", n, llt_fn, "chromatic", bound)
+    for _word, point, lhs, terms in _modular_instances(n, True, bound):
+        suite.check(point, lhs, terms)
+    fn, report = suite.fn, suite.report
     # multiplicativity on concatenations
     for k in range(1, n):
         for left in enumerate_paths(k, dyck_only=True, bound=bound):

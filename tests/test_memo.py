@@ -4,13 +4,13 @@ import lltpaths
 from lltpaths import memo, relations
 from lltpaths.coeffring import CoeffQT, shared_packed
 from lltpaths.llt import chromatic, llt, orientation_e_expansion
-from lltpaths.relations import recursion_evaluate, verify_chromatic_relations
+from lltpaths.relations import recursion_evaluate, verify_bounce_A, verify_chromatic_relations
 from lltpaths.schroeder import area, enumerate_paths
 
 # every module-level table, by module
 TABLES = {
     "llt": ("_LLT_CACHE", "_ORIENT_CACHE", "_CHROMATIC_CACHE"),
-    "relations": ("_RECURSION_CACHE",),
+    "relations": ("_RECURSION_CACHE", "_PACKED_VALUES", "_BOUNCE_WALKS"),
     "symfunc": ("_M_MUL_CACHE", "_TRANSITION_CACHE"),
     "partitions": ("_PARTITIONS_CACHE", "_SLOTS_CACHE", "_KOSTKA_CACHE"),
     "coeffring": ("_SHARED_COEFFS",),
@@ -29,7 +29,7 @@ def _sweep() -> list:
             out += [llt(p).convert("s").to_obj(), orientation_e_expansion(p).to_obj(), recursion_evaluate(p).to_obj()]
             if p.is_dyck():
                 out.append(chromatic(p).to_obj())
-    out.append(verify_chromatic_relations(4).to_obj())
+    out += [verify_bounce_A(4).to_obj(), verify_chromatic_relations(4).to_obj()]
     return out
 
 

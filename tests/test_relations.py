@@ -1,12 +1,13 @@
 import inspect
 import sys
-from math import comb
+from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
-from lltpaths import relations
+from lltpaths import clear_caches, relations
 from lltpaths.coeffring import CoeffQT
-from lltpaths.errors import BoundExceeded, NonTermination
+from lltpaths.errors import BoundExceeded, LLTError, NonTermination
 from lltpaths.llt import chromatic, llt
 from lltpaths.partitions import DEGREE_BOUND
 from lltpaths.relations import (
@@ -25,7 +26,7 @@ from lltpaths.relations import (
     verify_generalized_bounce,
     verify_unicellular,
 )
-from lltpaths.schroeder import area, bounce_at, enumerate_paths, parse, reverse
+from lltpaths.schroeder import SIZE_BOUND, area, bounce_at, enumerate_paths, parse, reverse
 from lltpaths.symfunc import SymFunc
 
 Q = CoeffQT.q()
@@ -201,9 +202,7 @@ def _bounce_everywhere(p):
                 yield (x, z), data
 
 
-def test_bounce_prefilter_keeps_every_instance(monkeypatch):
-    seen = []
-    monkeypatch.setattr(relations, "_check_instance", lambda report, fn, point, lhs, terms: seen.append(point))
+def test_bounce_prefilter_keeps_every_instance():
     for n in range(1, 7):
         paths = enumerate_paths(n)
         everywhere = {p.word: list(_bounce_everywhere(p)) for p in paths}
@@ -216,13 +215,14 @@ def test_bounce_prefilter_keeps_every_instance(monkeypatch):
                         continue
                     if (len(data.bounce_points) == 1) == single_point:
                         want.add((word, point, data.decomposition))
-            [got] = relations._bounce_instances(paths, (name,))
+            got = list(relations._bounce_instances(n, name, SIZE_BOUND))
             assert len(got) == len(set(got)) and set(got) == want, (n, name)
 
         # the modular sweep: the points at which it checks an instance, path by path
+        seen = {}
+        for word, point, _lhs, _terms in relations._modular_instances(n, False, SIZE_BOUND):
+            seen.setdefault(word, []).append(point)
         for p in paths:
-            seen.clear()
-            relations._modular_sweep(relations.RelationReport("dyck"), llt, [p])
             want = []
             for point, data in everywhere[p.word]:
                 u, s12, v, s34, w = data.decomposition
@@ -230,7 +230,9 @@ def test_bounce_prefilter_keeps_every_instance(monkeypatch):
                     continue
                 if s12 == "nn" or (s12 == "en" and u.endswith("n")):
                     want.append(point)
-            assert seen == want, p.word
+            assert seen.get(p.word, []) == want, p.word
+        dyck = [(word, point) for word, point, _lhs, _terms in relations._modular_instances(n, True, SIZE_BOUND)]
+        assert dyck == [(word, point) for word, points in seen.items() if "d" not in word for point in points], n
 
 
 def _refuse(*args, **kwargs):
@@ -250,6 +252,7 @@ def test_suites_refuse_a_size_above_their_bound_before_work(monkeypatch, name):
 
 @pytest.mark.parametrize("name", list(SUITES))
 def test_suites_pass_their_bound_to_every_route(monkeypatch, name):
+    clear_caches()  # a warm value or walk table would call no route at all
     seen = set()
     for callee in ("enumerate_paths", "llt", "chromatic", "dyck_path_graph_formula"):
         original = getattr(relations, callee)
@@ -348,3 +351,92 @@ def test_dual_one_pass_equals_the_three_scope_passes():
             got = verify_dual_bounce(n, llt_fn=fn)
             assert got.to_obj() == want.to_obj(), (fn.__name__, n)
             assert bool(got.failures) == (fn is corrupted and got.instances > 0), (fn.__name__, n)
+
+
+# -- the packed check -------------------------------------------------------
+
+
+def _plus(route, extra):
+    """The route plus extra(p), in the route's basis."""
+    return lambda p: route(p) + extra(p).convert("m")
+
+
+def _corruptions(route):
+    """The routes the packed check must agree with the exact one on: the default one and five corruptions."""
+    return {
+        "plain": None,
+        "golden in m": _plus(route, _golden_weight),
+        "golden in e": lambda p: route(p).convert("e") + _golden_weight(p),
+        "rational": _plus(route, lambda p: SymFunc.basis_element("e", (p.size,), Fraction(1, 2))),
+        # (t - 1) e_(n) vanishes at t = 1, so only the t-exponent test sees it
+        "t-exponent": _plus(route, lambda p: SymFunc.basis_element("e", (p.size,), CoeffQT.t() - 1)),
+        "negative q-exponent": _plus(route, lambda p: SymFunc.basis_element("e", (p.size,), CoeffQT.q(-1))),
+    }
+
+
+def _reports(name, llt_fn, sizes=range(1, 6)):
+    return [SUITES[name](n, llt_fn=llt_fn).to_obj() for n in sizes]
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_the_packed_check_gives_the_exact_reports(monkeypatch, name):
+    route = chromatic if name == "chromatic" else llt
+    for label, llt_fn in _corruptions(route).items():
+        clear_caches()
+        with monkeypatch.context() as m:
+            # the reference forms every discrepancy through linear_combination
+            m.setattr(relations._Suite, "pack", lambda self, f: None)
+            want = _reports(name, llt_fn)
+        clear_caches()
+        assert _reports(name, llt_fn) == want, (name, label)
+        if label.startswith("golden"):  # fails wherever there are instances at sizes 4 and 5
+            assert all(bool(r["failures"]) == bool(r["instances"]) for r in want[3:]), (name, label)
+    clear_caches()
+
+
+@pytest.mark.parametrize("name", [name for name in SUITES if name != "chromatic"])
+def test_a_passing_default_suite_forms_no_discrepancy(monkeypatch, name):
+    clear_caches()
+    monkeypatch.setattr(relations, "linear_combination", _refuse)
+    assert all(r["passed"] for r in _reports(name, None))
+
+
+def test_a_coefficient_at_the_digit_bound_takes_the_exact_path(monkeypatch):
+    n, word = 4, "nndede"  # an instance word of unicellular, bounceA, bounceB and dual at size 4
+    width = relations._Suite("bounceA", n, None, "llt", n).width
+    limit = 1 << (width - 4)
+    assert limit > factorial(n) and 6 * limit < 1 << (width - 1)
+    for c, packs in ((limit - 1, True), (1 - limit, True), (limit, False), (-limit, False)):
+        def route(p, c=c):
+            f = llt(p)
+            if p.word != word:
+                return f
+            coeffs = dict(f.coeffs)
+            coeffs[(n,)] = CoeffQT.from_rational(c)
+            return SymFunc("m", coeffs)
+
+        assert (relations._Suite("bounceA", n, route, "llt", n).pack(route(parse(word))) is not None) == packs, c
+        names = ("unicellular", "bounceA", "bounceB", "dual")
+        got = [SUITES[name](n, llt_fn=route).to_obj() for name in names]
+        with monkeypatch.context() as m:
+            m.setattr(relations._Suite, "pack", lambda self, f: None)
+            want = [SUITES[name](n, llt_fn=route).to_obj() for name in names]
+        assert got == want, c
+        assert all(r["failures"] for r in got), c
+
+
+def test_a_route_in_two_bases_is_refused_as_the_exact_check_refuses_it():
+    # the same coefficients under another basis pack to the same int
+    def route(p):
+        f = llt(p)
+        return SymFunc.from_canonical("e", f.coeffs) if p.word == "nndede" else f
+
+    with pytest.raises(LLTError):
+        verify_bounce_A(4, llt_fn=route)
+
+
+def test_reports_are_the_same_cold_and_warm():
+    clear_caches()
+    cold = [suite.to_obj() for n in range(1, 6) for suite in all_suites(n) + [verify_extended_bounce(n)]]
+    warm = [suite.to_obj() for n in range(1, 6) for suite in all_suites(n) + [verify_extended_bounce(n)]]
+    assert cold == warm
