@@ -59,21 +59,19 @@ def _cmd_expand(args):
         f = llt_via_orientations(path, bound=args.unsafe_max_n)
     else:
         f = recursion_evaluate(path, bound=args.unsafe_max_n)
-    f = f.convert(args.basis)
+    out = f.convert(args.basis)
     if args.shift_q:
-        f = f.shift_q(args.shift_q)
-    result = f.to_obj()
+        out = out.shift_q(args.shift_q)
+    result = out.to_obj()
     if args.witness:
+        by_content = (f if args.method == "colorings" else llt(path, bound=args.unsafe_max_n)).coeffs
         result["witness"] = {
             "graph": graph(path).to_obj(),
-            "colorings_by_content": {
-                str(list(lam)): str(llt(path, bound=args.unsafe_max_n).coeffs.get(lam, 0))
-                for lam in partitions_of(path.size)
-            },
+            "colorings_by_content": {str(list(lam)): str(by_content.get(lam, 0)) for lam in partitions_of(path.size)},
             "orientations": 2 ** area(path),
         }
     params = {"word": args.word, "basis": args.basis, "method": args.method, "shift_q": args.shift_q}
-    return params, result, [str(f)], None
+    return params, result, [str(out)], None
 
 
 def _cmd_equality(args):

@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .coeffring import CoeffQT
+from .coeffring import ZERO, CoeffQT
 from .errors import BoundExceeded, InvalidArgument, NotDivisible
 from .llt import llt, orientation_e_expansion
 from .partitions import weak_compositions
-from .schroeder import SIZE_BOUND, dyck_star, enumerate_paths, haglund_bounce, nu_alpha, p_mu
+from .schroeder import SIZE_BOUND, dyck_star, enumerate_paths, haglund_bounce, nu_alpha, p_mu, parse
 from .symfunc import SymFunc, linear_combination
 
 
@@ -48,11 +48,12 @@ def nabla_p(n: int, bound: int = SIZE_BOUND) -> SymFunc:
         raise BoundExceeded(f"nabla_p({n}) exceeds bound {bound}")
     if n < 1:
         raise InvalidArgument(f"nabla_p needs n >= 1, got {n}")
-    terms = []
+    # many compositions share a path: add their weights, then expand each path once
+    weights: dict[str, CoeffQT] = {}
     for alpha in weak_compositions(n, n):
         path, area_alpha, below = nu_alpha(alpha)
-        terms.append((CoeffQT.monomial(below, area_alpha), llt(path, bound).convert("s")))
-    return linear_combination("s", terms)
+        weights[path.word] = weights.get(path.word, ZERO) + CoeffQT.monomial(below, area_alpha)
+    return linear_combination("s", [(weight, llt(parse(word), bound).convert("s")) for word, weight in weights.items()])
 
 
 def hall_littlewood(mu: tuple[int, ...], bound: int = SIZE_BOUND) -> SymFunc:

@@ -40,11 +40,14 @@ which is the identity the verification suites exercise on exhaustive
 small instances.
 
 All enumerations tally integer counts first and only then build exact
-coefficients, so the hot loops never touch Fraction arithmetic.  The
-module-level caches are keyed by path word and inserts are idempotent.
-Both DPs read their packed tallies back through the shared coefficient
-table (`shared_packed`), so the cached values share one immutable CoeffQT
-per distinct tally and digit width.
+coefficients, so the hot loops never touch Fraction arithmetic.  ``llt``
+and ``orientation_e_expansion`` keep no value: each call runs its DP, and
+a caller that reads a value again keeps it (the relation suites keep one
+packed int per word).  ``chromatic`` memoizes by path word, because the
+chromatic suite multiplies the values of every smaller size.  Both DPs
+read their packed tallies back through the shared coefficient table
+(`shared_packed`), so their values share one immutable CoeffQT per
+distinct tally and digit width.
 """
 
 from __future__ import annotations
@@ -62,8 +65,6 @@ from .symfunc import SymFunc
 
 AREA_BOUND = 16
 
-_LLT_CACHE: dict[str, SymFunc] = memo.table("_LLT_CACHE")
-_ORIENT_CACHE: dict[str, SymFunc] = memo.table("_ORIENT_CACHE")
 _CHROMATIC_CACHE: dict[str, SymFunc] = memo.table("_CHROMATIC_CACHE")
 
 
@@ -266,12 +267,7 @@ def llt(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     n = path.size
     if n > bound:
         raise BoundExceeded(f"llt on size {n} exceeds bound {bound}")
-    cached = _LLT_CACHE.get(path.word)
-    if cached is not None:
-        return cached
-    out = _m_expansion(graph(path).lower_neighbors(), n)
-    _LLT_CACHE[path.word] = out
-    return out
+    return _m_expansion(graph(path).lower_neighbors(), n)
 
 
 def content_coefficient(path: SchroederPath, content: tuple[int, ...], bound: int = SIZE_BOUND) -> CoeffQT:
@@ -448,12 +444,7 @@ def orientation_e_expansion(path: SchroederPath, bound: int = SIZE_BOUND) -> Sym
     n = path.size
     if n > bound:
         raise BoundExceeded(f"orientation_e_expansion on size {n} exceeds bound {bound}")
-    cached = _ORIENT_CACHE.get(path.word)
-    if cached is not None:
-        return cached
-    out = SymFunc.from_canonical("e", _orientation_tally(path))
-    _ORIENT_CACHE[path.word] = out
-    return out
+    return SymFunc.from_canonical("e", _orientation_tally(path))
 
 
 def llt_via_orientations(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:

@@ -41,8 +41,13 @@ failure records do not depend on the packing.
 
 The default routes' packed values are kept in ``_PACKED_VALUES``, keyed
 by (route, word) and filled through the public ``llt`` and ``chromatic``
-with the suite's bound; every suite of a sweep reads them there.  An
-injected ``llt_fn`` packs into a table local to the call.
+with the suite's bound; every suite of a sweep reads them there.  ``llt``
+keeps no value of its own, so that int is the one copy of a default
+value.  An injected ``llt_fn`` packs into a table local to the call.  The
+values a call forms exactly (a failing or unpackable instance, the
+chromatic suite's products and initial condition), and every value of an
+injected route, are kept in a dict local to the call (``_Suite.value``),
+so a route runs once per word of a call.
 
 The bounce relations of D'Adderio and Carlsson-Mellit act at a point
 whose bounce decomposition is U s1 s2 V de W.  Their suites are rows of
@@ -202,6 +207,7 @@ class _Suite:
             self.values: dict[tuple[str, str], int | None] = _PACKED_VALUES
         else:
             self.fn, self.basis, self.values = llt_fn, None, {}
+        self.exact: dict[str, SymFunc] = {}  # word -> value, see `value`
         partitions = partitions_of(n, bound=n)
         self.slots = {lam: i for i, lam in enumerate(partitions)}
         self.width = factorial(n).bit_length() + 4
@@ -229,12 +235,24 @@ class _Suite:
             out = (out << self.step) + rows.get(a, 0)
         return out
 
+    def value(self, word: str) -> SymFunc:
+        """The route's value at the word, kept for the rest of the call."""
+        f = self.exact.get(word)
+        if f is None:
+            f = self.exact[word] = self.fn(parse(word))
+        return f
+
     def packed(self, word: str) -> int | None:
-        """The packed value of the route at the word; inserts are idempotent."""
+        """The packed value of the route at the word; inserts are idempotent.
+
+        A default route's value is dropped once packed, since only a failing
+        instance reads it again; an injected route's is kept (`value`).
+        """
         key = (self.route, word)
         value = self.values.get(key, _ABSENT)
         if value is _ABSENT:
-            value = self.values[key] = self.pack(self.fn(parse(word)))
+            f = self.fn(parse(word)) if self.values is _PACKED_VALUES else self.value(word)
+            value = self.values[key] = self.pack(f)
         return value
 
     def scalar(self, s: Scalar) -> int:
@@ -254,8 +272,8 @@ class _Suite:
             acc = None if value is None else acc - self.scalar(s) * value
         if acc == 0:
             return
-        lhs = self.fn(parse(lhs_word))
-        negated = [(CoeffQT({(i, 0): -c for i, c in enumerate(s)}), self.fn(parse(word))) for s, word in terms]
+        lhs = self.value(lhs_word)
+        negated = [(CoeffQT({(i, 0): -c for i, c in enumerate(s)}), self.value(word)) for s, word in terms]
         _record(self.report, [lhs_word] + [word for _, word in terms], point, linear_combination(lhs.basis, [(1, lhs)] + negated))
 
 
@@ -453,14 +471,14 @@ def verify_chromatic_relations(n: int, llt_fn: LltFn | None = None, bound: int =
     suite = _Suite("chromatic", n, llt_fn, "chromatic", bound)
     for _word, point, lhs, terms in _modular_instances(n, True, bound):
         suite.check(point, lhs, terms)
-    fn, report = suite.fn, suite.report
+    value, report = suite.value, suite.report
     # multiplicativity on concatenations
     for k in range(1, n):
         for left in enumerate_paths(k, dyck_only=True, bound=bound):
             for right in enumerate_paths(n - k, dyck_only=True, bound=bound):
                 report.instances += 1
                 whole = left.word + right.word
-                acc = fn(parse(whole)) - fn(left) * fn(right)
+                acc = value(whole) - value(left.word) * value(right.word)
                 _record(report, [whole, left.word, right.word], None, acc)
     # path-graph initial condition through the plethystic bridge
     if n >= 1:
@@ -470,8 +488,8 @@ def verify_chromatic_relations(n: int, llt_fn: LltFn | None = None, bound: int =
         bridged = dyck_path_graph_formula(k, bound).pleth_q_minus_1()
         divisor = (Q - 1) ** n
         bridged = bridged.map_coeffs(lambda c: c.exact_div(divisor))
-        value = fn(parse(word))
-        _record(report, [word], None, bridged.convert(value.basis) - value)
+        f = value(word)
+        _record(report, [word], None, bridged.convert(f.basis) - f)
     return report
 
 

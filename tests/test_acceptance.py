@@ -2,8 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Everything here is exact arithmetic; there are no tolerances to
-tune.  The heavy sweeps share the module-level caches, so the whole gate
-runs in well under a minute.
+tune.  The relation suites share their packed values per size, and the
+chromatic and evaluator memos serve every test that reads them again;
+the coloring and orientation routes keep no value, so each test that
+sweeps them pays for its own.  The whole gate runs in well under a minute.
 """
 
 import time

@@ -223,6 +223,15 @@ def test_verify_failure_exits_1_with_a_report(capsys, monkeypatch):
     assert [s for s in suites if not s["passed"]] == report["failed_suites"]
 
 
+@pytest.mark.parametrize("method", ["colorings", "orientations"])
+def test_expand_witness_runs_the_coloring_dp_once(capsys, monkeypatch, method):
+    calls = []
+    monkeypatch.setattr(cli, "llt", lambda path, bound: calls.append(path.word) or llt(path, bound))
+    code, out = run(capsys, "expand", "nendnee", "--method", method, "--witness", "--json")
+    assert code == 0 and calls == ["nendnee"]
+    assert json.loads(out)["result"]["witness"]["colorings_by_content"]["[1, 1, 1, 1]"] == str(llt(parse("nendnee")).coeffs[(1, 1, 1, 1)])
+
+
 def test_expand_witness_counts_orientations_without_enumerating(capsys):
     # area 19: enumerating the 2^19 orientations would cost gigabytes
     code, out = run(capsys, "expand", "nnnnnnedeeeee", "--json", "--witness")

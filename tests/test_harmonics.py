@@ -1,5 +1,6 @@
 import pytest
 
+from lltpaths import harmonics
 from lltpaths.coeffring import CoeffQT
 from lltpaths.errors import BoundExceeded, InvalidArgument
 from lltpaths.harmonics import (
@@ -8,7 +9,10 @@ from lltpaths.harmonics import (
     nabla_p,
     survey_e_coefficients,
 )
-from lltpaths.partitions import conjugate, kostka, partitions_of
+from lltpaths.llt import llt
+from lltpaths.partitions import conjugate, kostka, partitions_of, weak_compositions
+from lltpaths.schroeder import nu_alpha
+from lltpaths.symfunc import linear_combination
 
 Q = CoeffQT.q()
 T = CoeffQT.t()
@@ -118,3 +122,14 @@ def test_survey_shape():
     assert obj["coefficients_checked"] == len(report.entries)
     with pytest.raises(BoundExceeded):
         survey_e_coefficients(8)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_nabla_p_expands_each_path_once_and_equals_the_sum_over_compositions(monkeypatch, n):
+    cars = [nu_alpha(alpha) for alpha in weak_compositions(n, n)]
+    reference = linear_combination("s", [(CoeffQT.monomial(below, a), llt(path).convert("s")) for path, a, below in cars])
+    calls = []
+    monkeypatch.setattr(harmonics, "llt", lambda path, bound: calls.append(path.word) or llt(path, bound))
+    assert nabla_p(n) == reference
+    assert sorted(calls) == sorted({path.word for path, _, _ in cars})
+    assert len(calls) < len(cars)

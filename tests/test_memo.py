@@ -1,15 +1,16 @@
 import importlib
 
 import lltpaths
-from lltpaths import memo, relations
+from lltpaths import cli, memo, relations
 from lltpaths.coeffring import CoeffQT, shared_packed
+from lltpaths.harmonics import nabla_e, survey_e_coefficients
 from lltpaths.llt import chromatic, llt, orientation_e_expansion
 from lltpaths.relations import recursion_evaluate, verify_bounce_A, verify_chromatic_relations
 from lltpaths.schroeder import area, enumerate_paths
 
 # every module-level table, by module
 TABLES = {
-    "llt": ("_LLT_CACHE", "_ORIENT_CACHE", "_CHROMATIC_CACHE"),
+    "llt": ("_CHROMATIC_CACHE",),
     "relations": ("_RECURSION_CACHE", "_PACKED_VALUES", "_BOUNCE_WALKS"),
     "symfunc": ("_M_MUL_CACHE", "_TRANSITION_CACHE"),
     "partitions": ("_PARTITIONS_CACHE", "_SLOTS_CACHE", "_KOSTKA_CACHE"),
@@ -52,15 +53,15 @@ def _assert_one_object_per_value(coeffs) -> None:
 def test_memo_coefficients_are_shared_objects():
     lltpaths.clear_caches()
     paths = [p for n in range(1, 7) for p in enumerate_paths(n)]
-    for p in paths:
-        llt(p), orientation_e_expansion(p), recursion_evaluate(p)
+    # llt and orientation_e_expansion keep no value, so the test holds them
+    values = [(p, llt(p), orientation_e_expansion(p), recursion_evaluate(p)) for p in paths]
     # the digit width of a read-back is fixed per size for the colorings, per
     # area for the orientations and once for the evaluator; within it equal
     # coefficients are one object
     for n in range(1, 7):
-        _assert_one_object_per_value(c for p in paths if p.size == n for c in llt(p).coeffs.values())
+        _assert_one_object_per_value(c for p, f, _, _ in values if p.size == n for c in f.coeffs.values())
     for a in {area(p) for p in paths}:
-        _assert_one_object_per_value(c for p in paths if area(p) == a for c in orientation_e_expansion(p).coeffs.values())
+        _assert_one_object_per_value(c for p, _, g, _ in values if area(p) == a for c in g.coeffs.values())
     entries = relations._RECURSION_CACHE.values()
     _assert_one_object_per_value(c for _, f in entries for c in f.coeffs.values())
     for packed, f in entries:
@@ -70,6 +71,16 @@ def test_memo_coefficients_are_shared_objects():
             shared_int, shared_coeff = shared_packed(v, relations._WIDTH, True)
             assert shared_int is v and shared_coeff is f.coeffs[lam]
     tables = _tables()
-    held = sum(len(f.coeffs) for name in ("_LLT_CACHE", "_ORIENT_CACHE") for f in tables[name].values())
+    held = sum(len(f.coeffs) + len(g.coeffs) for _, f, g, _ in values)
     held += sum(len(packed) for packed, _ in entries)
     assert len(tables["_SHARED_COEFFS"]) <= held
+
+
+def test_sweeps_that_visit_each_path_once_keep_no_value(capsys):
+    lltpaths.clear_caches()
+    assert cli.main(["equality", "--max-n", "5", "--json"]) == 0
+    capsys.readouterr()
+    nabla_e(5), survey_e_coefficients(5)
+    tables = _tables()
+    assert not tables["_CHROMATIC_CACHE"] and not tables["_RECURSION_CACHE"] and not tables["_PACKED_VALUES"]
+    assert not [name for name in memo._TABLES if "LLT" in name or "ORIENT" in name]

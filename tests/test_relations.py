@@ -440,3 +440,20 @@ def test_reports_are_the_same_cold_and_warm():
     cold = [suite.to_obj() for n in range(1, 6) for suite in all_suites(n) + [verify_extended_bounce(n)]]
     warm = [suite.to_obj() for n in range(1, 6) for suite in all_suites(n) + [verify_extended_bounce(n)]]
     assert cold == warm
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_an_injected_route_runs_once_per_word_of_a_call(name):
+    route = chromatic if name == "chromatic" else llt
+    corrupted = _plus(route, _golden_weight)
+    calls: dict[str, int] = {}
+
+    def counted(p):
+        calls[p.word] = calls.get(p.word, 0) + 1
+        return corrupted(p)
+
+    n = 5  # every suite has instances, and every one fails under the golden corruption
+    report = SUITES[name](n, llt_fn=counted)
+    assert calls and set(calls.values()) == {1}, {w: c for w, c in calls.items() if c > 1}
+    assert report.to_obj() == SUITES[name](n, llt_fn=corrupted).to_obj()
+    assert report.failures
