@@ -22,7 +22,6 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Mapping, Tuple, Union
 
-from . import memo
 from .errors import NegativeExponentShift, NotDivisible
 
 Exponents = Tuple[int, int]
@@ -400,26 +399,6 @@ class CoeffQT:
 
     def __iter__(self) -> Iterator[tuple[Exponents, Rational]]:
         return iter(sorted(self.terms.items()))
-
-
-# (width, signed, value) -> (value, its CoeffQT): one int and one CoeffQT
-# per distinct packed value that a memo reads back, see `shared_packed`.
-_SHARED_COEFFS: dict[tuple[int, bool, int], tuple[int, CoeffQT]] = memo.table("_SHARED_COEFFS")
-
-
-def shared_packed(value: int, width: int, signed: bool = False) -> tuple[int, CoeffQT]:
-    """The shared (value, CoeffQT.from_packed(value, width, signed)) pair.
-
-    The memos store many copies of few polynomials, so every memo reads its
-    packed values back through this table: equal values give the same int
-    and the same CoeffQT object, decoded once.  Sharing is safe because no
-    CoeffQT is ever changed after it is built.
-    """
-    key = (width, signed, value)
-    hit = _SHARED_COEFFS.get(key)
-    if hit is None:
-        hit = _SHARED_COEFFS[key] = (value, CoeffQT.from_packed(value, width, signed))
-    return hit
 
 
 ZERO = CoeffQT.zero()

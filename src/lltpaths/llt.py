@@ -45,9 +45,8 @@ and ``orientation_e_expansion`` keep no value: each call runs its DP, and
 a caller that reads a value again keeps it (the relation suites keep one
 packed int per word).  ``chromatic`` memoizes by path word, because the
 chromatic suite multiplies the values of every smaller size.  Both DPs
-read their packed tallies back through the shared coefficient table
-(`shared_packed`), so their values share one immutable CoeffQT per
-distinct tally and digit width.
+decode their packed tallies with `CoeffQT.from_packed` as they return and
+touch no module state, so once a caller drops a value nothing holds it.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from math import factorial
 from typing import Callable
 
 from . import memo
-from .coeffring import CoeffQT, shared_packed
+from .coeffring import CoeffQT
 from .errors import BoundExceeded, HasDiagonal, InvalidColoring
 from .partitions import partition_slots, partitions_of
 from .schroeder import SIZE_BOUND, DecoratedGraph, SchroederPath, graph
@@ -184,7 +183,7 @@ def _m_expansion(lower, n: int) -> SymFunc:
     The state of a coloured set is one int.  Each partition of m has a slot
     (`partition_slots`), and the slot holds the ascent tally of the
     colorings with those class sizes, as a value at q = 2**width (see
-    `CoeffQT.from_packed`; `shared_packed` reads each m-coefficient back).  A
+    `CoeffQT.from_packed`, which decodes each m-coefficient).  A
     class of size k may follow only the partitions whose smallest part is
     at least k, a suffix of the slots, and appending k maps that suffix in
     order onto the block of partitions of m+k whose smallest part is k.
@@ -252,7 +251,7 @@ def _m_expansion(lower, n: int) -> SymFunc:
     order = partition_slots(n)[0]
     mask = (1 << slot) - 1
     tallies = {lam: value >> slot * i & mask for i, lam in enumerate(order)}
-    terms = {lam: shared_packed(tallies[lam], width)[1] for lam in partitions_of(n) if tallies[lam]}
+    terms = {lam: CoeffQT.from_packed(tallies[lam], width) for lam in partitions_of(n) if tallies[lam]}
     return SymFunc.from_canonical("m", terms)
 
 
@@ -385,7 +384,7 @@ def _orientation_tally(path: SchroederPath) -> dict[tuple[int, ...], CoeffQT]:
     reaches none, and v joins that label's block.  A block closes when its
     label leaves the window, since no vertex below can reach it any more.
     No count exceeds 2**area, which sets the digit width of the tallies
-    (see `CoeffQT.from_packed`; `shared_packed` reads them back).
+    (see `CoeffQT.from_packed`, which decodes them).
     """
     g = graph(path)
     n = g.n
@@ -432,7 +431,7 @@ def _orientation_tally(path: SchroederPath) -> dict[tuple[int, ...], CoeffQT]:
                     state = (tuple(sizes[r] for r in alive), closed)
                     target[state] = target.get(state, 0) + value * poly
         states = following
-    return {closed: shared_packed(value, width)[1] for (_, closed), value in states[()].items()}
+    return {closed: CoeffQT.from_packed(value, width) for (_, closed), value in states[()].items()}
 
 
 def orientation_e_expansion(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:

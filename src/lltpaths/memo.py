@@ -20,8 +20,9 @@ def table(name: str) -> dict:
 def clear_caches() -> None:
     """Empty every registered table.
 
-    Among them is the shared coefficient table that the memo values read
-    their coefficients from, so it never outlives the memos it serves.
+    Afterwards every table is empty, the evaluator's intern table among
+    them, so no coefficient it interned outlives the memo entries that
+    share it.
     """
     for t in _TABLES.values():
         t.clear()

@@ -10,7 +10,7 @@ independent oracle for the Schur-function machinery elsewhere.
 from __future__ import annotations
 
 from . import memo
-from .errors import BoundExceeded, SizeMismatch
+from .errors import BoundExceeded, InvalidArgument, SizeMismatch
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -33,7 +33,7 @@ def is_partition(parts) -> bool:
 def partitions_of(n: int, bound: int = DEGREE_BOUND) -> list[Partition]:
     """All partitions of n in reverse-lexicographic order: (n) first, (1^n) last."""
     if n < 0:
-        raise ValueError("n must be a natural number")
+        raise InvalidArgument(f"partitions_of needs n >= 0, got {n}")
     if n > bound:
         raise BoundExceeded(f"partitions_of({n}) exceeds bound {bound}")
     cached = _PARTITIONS_CACHE.get(n)

@@ -79,13 +79,14 @@ per partition: (v << _WIDTH) - v, v << _WIDTH and +.  The other form is
 the SymFunc that ``recursion_evaluate`` returns.  A memo hit returns it as
 stored, and multiplicativity multiplies two of them with ``SymFunc.__mul__``
 and packs the product.  Every new entry, a product or a value that a linear
-rule builds, is read back through the shared coefficient table
-(``coeffring.shared_packed``) when it is stored: equal coefficients, which
-most of the memo's are, are one int and one CoeffQT.  Both forms are kept
-because each alone costs more: a packed-only memo unpacks on every hit, and
-a SymFunc-only memo repeats per-term CoeffQT arithmetic in every rule.
-Sharing keeps the pair cheap, since the two forms of an entry hold only
-references to the table's objects.
+rule builds, is decoded when it is stored, through the evaluator's own
+intern table ``_RECURSION_COEFFS``, keyed by the packed int: equal
+coefficients, which most of the memo's are, are one int and one CoeffQT.
+Both forms are kept because each alone costs more: a packed-only memo
+unpacks on every hit, and a SymFunc-only memo repeats per-term CoeffQT
+arithmetic in every rule.  Interning keeps the pair cheap, since the two
+forms of an entry hold only references to the table's objects.  No other
+module reads the table, and ``clear_caches`` empties it with the memo.
 
 The width holds every stored coefficient.  By the orientation expansion,
 F(q) is the sum over orientations theta of (q-1)^asc(theta)
@@ -106,8 +107,8 @@ from math import comb, factorial
 from typing import Callable, Iterator
 
 from . import memo
-from .coeffring import CoeffQT, shared_packed
-from .errors import BoundExceeded, NonTermination
+from .coeffring import CoeffQT
+from .errors import BoundExceeded, InvalidArgument, NonTermination
 from .llt import chromatic, llt
 from .partitions import DEGREE_BOUND, Partition, compositions, partitions_of
 from .schroeder import (
@@ -128,6 +129,9 @@ LltFn = Callable[[SchroederPath], SymFunc]
 Packed = dict[Partition, int]
 Entry = tuple[Packed, SymFunc]
 _RECURSION_CACHE: dict[str, Entry] = memo.table("_RECURSION_CACHE")
+# packed int -> (that int, its CoeffQT): one of each per distinct coefficient
+# of the memo, so entries of equal value share them, see _unpacked.
+_RECURSION_COEFFS: dict[int, tuple[int, CoeffQT]] = memo.table("_RECURSION_COEFFS")
 # Digit width of the packed values: every coefficient the evaluator stores
 # is at most 3^C(DEGREE_BOUND, 2) in absolute value (see the module
 # docstring), so it fits a signed digit of this many bits (106).
@@ -519,7 +523,9 @@ def all_suites(n: int, bound: int = SIZE_BOUND) -> list[RelationReport]:
 def dyck_path_graph_formula(k: int, bound: int = SIZE_BOUND) -> SymFunc:
     """e-expansion of the polynomial of the path graph n (ne)^k e on k+1 vertices:
     the sum of (q-1)^(k+1-l(alpha)) e_alpha over compositions alpha of k+1.
-    `bound` limits the path size k+1."""
+    `bound` limits the path size k+1; a negative k is refused before any work."""
+    if k < 0:
+        raise InvalidArgument(f"dyck_path_graph_formula needs k >= 0, got {k}")
     if k + 1 > bound:
         raise BoundExceeded(f"path graph on size {k + 1} exceeds bound {bound}")
     return linear_combination(
@@ -538,13 +544,13 @@ def recursion_evaluate(path: SchroederPath | str, bound: int = SIZE_BOUND) -> Sy
     entry holds the value packed at q = 2**_WIDTH, which the linear rules
     combine, and the `SymFunc` returned here, which products multiply and
     a repeated call returns as it is.  Both forms share their ints and
-    coefficients with every entry of equal value (`shared_packed`); they
-    are never changed in place.  A size above `bound`, or above
-    `DEGREE_BOUND` (the largest size `_WIDTH` holds), is refused before any
-    work.  The evaluator recurses within the interpreter's default
-    recursion limit (a cold size-12 path goes 68 levels deep) and leaves
-    that limit alone; a rule cycle raises NonTermination at depth 200,
-    before the interpreter's limit is reached.
+    coefficients with every entry of equal value, through the evaluator's
+    intern table (`_RECURSION_COEFFS`); they are never changed in place.
+    A size above `bound`, or above `DEGREE_BOUND` (the largest size `_WIDTH`
+    holds), is refused before any work.  The evaluator recurses within the
+    interpreter's default recursion limit (a cold size-12 path goes 68
+    levels deep) and leaves that limit alone; a rule cycle raises
+    NonTermination at depth 200, before the interpreter's limit is reached.
     """
     if isinstance(path, str):
         path = parse(path)
@@ -571,11 +577,14 @@ def _evaluate(word: str, depth: int) -> Entry:
 
 
 def _unpacked(packed: Packed) -> Entry:
-    """The entry of a packed value: its shared ints and their shared CoeffQTs, in e."""
+    """The entry of a packed value: its interned ints and their interned CoeffQTs, in e."""
     ints: Packed = {}
     coeffs: dict[Partition, CoeffQT] = {}
     for lam, v in packed.items():
-        ints[lam], coeffs[lam] = shared_packed(v, _WIDTH, True)
+        hit = _RECURSION_COEFFS.get(v)
+        if hit is None:
+            hit = _RECURSION_COEFFS[v] = (v, CoeffQT.from_packed(v, _WIDTH, True))
+        ints[lam], coeffs[lam] = hit
     return ints, SymFunc.from_canonical("e", coeffs)
 
 

@@ -210,14 +210,8 @@ class SymFunc:
     # -- the classical involution and the one plethysm we need ---------------
 
     def omega(self) -> "SymFunc":
-        """The standard involution: p_k -> (-1)^(k-1) p_k, i.e. e <-> h."""
-        p = self.convert("p")
-        out = {
-            lam: c if (sum(lam) - len(lam)) % 2 == 0 else -c
-            for lam, c in p.coeffs.items()
-        }
-        res = SymFunc("p", out)
-        return res.convert(self.basis)
+        """The standard involution e <-> h: the e-coefficients of f are the h-coefficients of omega(f)."""
+        return SymFunc.from_canonical("h", self.convert("e").coeffs).convert(self.basis)
 
     def pleth_q_minus_1(self) -> "SymFunc":
         """The substitution f |-> f[x(q-1)]: p_k -> (q^k - 1) p_k."""

@@ -2,20 +2,22 @@ import importlib
 
 import lltpaths
 from lltpaths import cli, memo, relations
-from lltpaths.coeffring import CoeffQT, shared_packed
-from lltpaths.harmonics import nabla_e, survey_e_coefficients
+from lltpaths.coeffring import CoeffQT
+from lltpaths.harmonics import nabla_e, nabla_p, survey_e_coefficients
 from lltpaths.llt import chromatic, llt, orientation_e_expansion
 from lltpaths.relations import recursion_evaluate, verify_bounce_A, verify_chromatic_relations
-from lltpaths.schroeder import area, enumerate_paths
+from lltpaths.schroeder import enumerate_paths
+from lltpaths.symfunc import SymFunc
 
 # every module-level table, by module
 TABLES = {
     "llt": ("_CHROMATIC_CACHE",),
-    "relations": ("_RECURSION_CACHE", "_PACKED_VALUES", "_BOUNCE_WALKS"),
+    "relations": ("_RECURSION_CACHE", "_RECURSION_COEFFS", "_PACKED_VALUES", "_BOUNCE_WALKS"),
     "symfunc": ("_M_MUL_CACHE", "_TRANSITION_CACHE"),
     "partitions": ("_PARTITIONS_CACHE", "_SLOTS_CACHE", "_KOSTKA_CACHE"),
-    "coeffring": ("_SHARED_COEFFS",),
 }
+# the tables of combinatorial data, keyed by degree or by partitions
+COMBINATORIAL = {"_PARTITIONS_CACHE", "_SLOTS_CACHE", "_TRANSITION_CACHE", "_KOSTKA_CACHE", "_M_MUL_CACHE"}
 
 
 def _tables() -> dict[str, dict]:
@@ -52,28 +54,19 @@ def _assert_one_object_per_value(coeffs) -> None:
 
 def test_memo_coefficients_are_shared_objects():
     lltpaths.clear_caches()
-    paths = [p for n in range(1, 7) for p in enumerate_paths(n)]
-    # llt and orientation_e_expansion keep no value, so the test holds them
-    values = [(p, llt(p), orientation_e_expansion(p), recursion_evaluate(p)) for p in paths]
-    # the digit width of a read-back is fixed per size for the colorings, per
-    # area for the orientations and once for the evaluator; within it equal
-    # coefficients are one object
     for n in range(1, 7):
-        _assert_one_object_per_value(c for p, f, _, _ in values if p.size == n for c in f.coeffs.values())
-    for a in {area(p) for p in paths}:
-        _assert_one_object_per_value(c for p, _, g, _ in values if area(p) == a for c in g.coeffs.values())
+        for p in enumerate_paths(n):
+            recursion_evaluate(p)
     entries = relations._RECURSION_CACHE.values()
     _assert_one_object_per_value(c for _, f in entries for c in f.coeffs.values())
+    interned = relations._RECURSION_COEFFS
     for packed, f in entries:
         assert packed.keys() == f.coeffs.keys()
         for lam, v in packed.items():
             assert f.coeffs[lam] == CoeffQT.from_packed(v, relations._WIDTH, signed=True)
-            shared_int, shared_coeff = shared_packed(v, relations._WIDTH, True)
-            assert shared_int is v and shared_coeff is f.coeffs[lam]
-    tables = _tables()
-    held = sum(len(f.coeffs) + len(g.coeffs) for _, f, g, _ in values)
-    held += sum(len(packed) for packed, _ in entries)
-    assert len(tables["_SHARED_COEFFS"]) <= held
+            interned_int, interned_coeff = interned[v]
+            assert interned_int is v and interned_coeff is f.coeffs[lam]
+    assert len(interned) <= sum(len(packed) for packed, _ in entries)
 
 
 def test_sweeps_that_visit_each_path_once_keep_no_value(capsys):
@@ -84,3 +77,23 @@ def test_sweeps_that_visit_each_path_once_keep_no_value(capsys):
     tables = _tables()
     assert not tables["_CHROMATIC_CACHE"] and not tables["_RECURSION_CACHE"] and not tables["_PACKED_VALUES"]
     assert not [name for name in memo._TABLES if "LLT" in name or "ORIENT" in name]
+
+
+def _values(obj) -> list:
+    """Every CoeffQT or SymFunc inside nested dicts, tuples and lists."""
+    if isinstance(obj, (CoeffQT, SymFunc)):
+        return [obj]
+    if isinstance(obj, dict):
+        return [v for item in obj.items() for v in _values(item)]
+    if isinstance(obj, (tuple, list)):
+        return [v for item in obj for v in _values(item)]
+    return []
+
+
+def test_single_visit_sweeps_leave_only_combinatorial_tables(capsys):
+    lltpaths.clear_caches()
+    assert cli.main(["equality", "--max-n", "5", "--json"]) == 0
+    capsys.readouterr()
+    nabla_e(5), nabla_p(4), survey_e_coefficients(5)
+    assert not [name for name, t in memo._TABLES.items() if t and name not in COMBINATORIAL]
+    assert not [name for name in COMBINATORIAL if _values(memo._TABLES[name])]

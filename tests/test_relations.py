@@ -7,7 +7,7 @@ import pytest
 
 from lltpaths import clear_caches, relations
 from lltpaths.coeffring import CoeffQT
-from lltpaths.errors import BoundExceeded, LLTError, NonTermination
+from lltpaths.errors import BoundExceeded, InvalidArgument, LLTError, NonTermination
 from lltpaths.llt import chromatic, llt
 from lltpaths.partitions import DEGREE_BOUND
 from lltpaths.relations import (
@@ -248,6 +248,17 @@ def test_suites_refuse_a_size_above_their_bound_before_work(monkeypatch, name):
         SUITES[name](4, bound=3)
     with pytest.raises(BoundExceeded):
         all_suites(4, bound=3)
+
+
+def test_a_negative_size_is_refused_with_the_package_error_before_work(monkeypatch):
+    monkeypatch.setattr(relations, "enumerate_paths", _refuse)
+    for suite in SUITES.values():
+        with pytest.raises(InvalidArgument):
+            suite(-1, llt_fn=_refuse)
+    with pytest.raises(InvalidArgument):
+        all_suites(-1)
+    with pytest.raises(InvalidArgument):
+        dyck_path_graph_formula(-2)
 
 
 @pytest.mark.parametrize("name", list(SUITES))

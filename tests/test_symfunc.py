@@ -7,7 +7,9 @@ import pytest
 from lltpaths import symfunc
 from lltpaths.coeffring import CoeffQT
 from lltpaths.errors import LLTError
+from lltpaths.llt import llt
 from lltpaths.partitions import kostka, partitions_of
+from lltpaths.schroeder import enumerate_paths
 from lltpaths.symfunc import BASES, SymFunc, linear_combination, straighten_schur
 
 Q = CoeffQT.q()
@@ -101,6 +103,24 @@ def test_omega():
     for _ in range(10):
         f = random_symfunc(rng, "s")
         assert f.omega().omega() == f
+
+
+def _omega_by_power_sums(f: SymFunc) -> SymFunc:
+    """The reference omega: p_k -> (-1)^(k-1) p_k, through the rational p-basis."""
+    out = {lam: c if (sum(lam) - len(lam)) % 2 == 0 else -c for lam, c in f.convert("p").coeffs.items()}
+    return SymFunc("p", out).convert(f.basis)
+
+
+def test_omega_matches_the_power_sum_formula():
+    for basis in BASES:
+        for n in range(7):
+            for lam in partitions_of(n):
+                f = SymFunc.basis_element(basis, lam)
+                assert f.omega() == _omega_by_power_sums(f), (basis, lam)
+    for n in range(1, 6):
+        for p in enumerate_paths(n):
+            f = llt(p)
+            assert f.omega() == _omega_by_power_sums(f), p.word
 
 
 def test_pleth_examples():
