@@ -3,8 +3,8 @@
 Partitions and compositions are plain tuples of ints: partitions are
 weakly decreasing with positive parts, the empty tuple is the partition
 of 0, and compositions may contain zeros.  Kostka numbers are computed
-by exhaustive semistandard-tableau enumeration so they can serve as an
-independent oracle for the Schur-function machinery elsewhere.
+by the horizontal-strip branching rule, in integer arithmetic, without
+enumerating tableaux.
 """
 
 from __future__ import annotations
@@ -100,50 +100,48 @@ def dominates(mu: Partition, lam: Partition) -> bool:
     return True
 
 
-def kostka(mu: Partition, lam: Partition) -> int:
+def kostka(mu: Partition, lam: Composition) -> int:
     """Number of semistandard Young tableaux of shape mu and content lam.
 
-    Computed by brute row-filling enumeration (rows weakly increase,
-    columns strictly increase, entry i is used lam[i-1] times).  Memoized
-    per (mu, lam); the memo table only sees idempotent inserts, so
-    concurrent readers are safe.
+    The content may be any composition of |mu|, zeros included: the count
+    is symmetric in it, so it is sorted into a partition first.  A shape
+    that is not a partition or a content with a negative part raises
+    `InvalidArgument`.  Computed by the branching rule in `_kostka`.
     """
     mu = tuple(mu)
     lam = tuple(lam)
+    if not is_partition(mu) or not all(isinstance(p, int) and p >= 0 for p in lam):
+        raise InvalidArgument(f"kostka needs a partition shape and a non-negative content, got {mu}, {lam}")
     if sum(mu) != sum(lam):
         raise SizeMismatch(f"|{mu}| != |{lam}|")
+    return _kostka(mu, tuple(sorted((p for p in lam if p), reverse=True)))
+
+
+def _kostka(mu: Partition, lam: Partition) -> int:
+    """K(mu, lam) for partitions of equal size, by the horizontal-strip branching rule.
+
+    The entries equal to the last colour fill a horizontal strip mu/nu of
+    size lam[-1], so K(mu, lam) = sum of K(nu, lam[:-1]) over the nu with
+    mu[i+1] <= nu[i] <= mu[i].  Zero unless mu dominates lam.  Every
+    (shape, content prefix) pair met is memoized per pair; the memo table
+    only sees idempotent inserts, so concurrent readers are safe.
+    """
     key = (mu, lam)
-    cached = _KOSTKA_CACHE.get(key)
-    if cached is not None:
-        return cached
-    count = 0
-    if not mu:
+    count = _KOSTKA_CACHE.get(key)
+    if count is not None:
+        return count
+    if not lam:
         count = 1
-    elif dominates(mu, lam):
-        remaining = list(lam)
-        ncolors = len(lam)
-        rows: list[list[int]] = [[] for _ in mu]
-
-        def fill(r: int, c: int) -> int:
-            if r == len(mu):
-                return 1
-            if c == mu[r]:
-                return fill(r + 1, 0)
-            lo = rows[r][c - 1] if c else 1
-            if r and c < mu[r - 1]:
-                lo = max(lo, rows[r - 1][c] + 1)
-            total = 0
-            for v in range(lo, ncolors + 1):
-                if remaining[v - 1] == 0:
-                    continue
-                remaining[v - 1] -= 1
-                rows[r].append(v)
-                total += fill(r, c + 1)
-                rows[r].pop()
-                remaining[v - 1] += 1
-            return total
-
-        count = fill(0, 0)
+    elif not dominates(mu, lam):
+        count = 0
+    else:
+        # (nu so far, strip boxes still to remove), one row of mu at a time
+        heads = [((), lam[-1])]
+        for i, part in enumerate(mu):
+            below = mu[i + 1] if i + 1 < len(mu) else 0
+            heads = [(nu + (v,), left - part + v) for nu, left in heads for v in range(max(below, part - left), part + 1)]
+        rest = lam[:-1]
+        count = sum(_kostka(nu if nu[-1] else nu[:-1], rest) for nu, left in heads if not left)
     _KOSTKA_CACHE[key] = count
     return count
 
@@ -154,6 +152,8 @@ def weak_compositions(n: int, k: int) -> list[Composition]:
     Ordered with the first part decreasing, matching the output of the
     recursive generation.
     """
+    if n < 0 or k < 0:
+        raise InvalidArgument(f"weak_compositions needs n, k >= 0, got {n}, {k}")
     if k == 0:
         return [()] if n == 0 else []
     if k == 1:
@@ -167,6 +167,8 @@ def weak_compositions(n: int, k: int) -> list[Composition]:
 
 def compositions(n: int) -> list[Composition]:
     """All compositions of n into positive parts."""
+    if n < 0:
+        raise InvalidArgument(f"compositions needs n >= 0, got {n}")
     if n == 0:
         return [()]
     out = []

@@ -11,8 +11,8 @@ with content (1, ..., 1).
 The second route runs over orientations: the e-coefficients of
 ``llt_via_orientations`` are the sums of (q-1)^{asc(theta)} over the
 orientations with lambda(theta) = lambda, and e_lambda is the sum of
-K_{mu', lambda} s_mu with Kostka numbers from the tableau-enumeration
-oracle.
+K_{mu', lambda} s_mu with Kostka numbers from the branching rule of
+the partitions module.
 
 Both must agree with the coloring polynomial converted to the Schur
 basis; that triple agreement is an acceptance criterion.

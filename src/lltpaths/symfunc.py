@@ -8,9 +8,10 @@ the monomial basis with per-degree transition matrices:
   * e_k = m_{(1^k)}, h_k = sum of all m_lam of degree k, p_k = m_{(k)},
     products expanded by exact monomial convolution;
   * s_mu = sum_lam K_{mu,lam} m_lam with Kostka numbers from the
-    independent tableau-enumeration oracle;
-  * the reverse direction inverts the transition matrix over the
-    rationals once per degree and caches it.
+    branching rule;
+  * the reverse direction inverts the transition matrix once per degree
+    by fraction-free integer elimination, with one exact division per
+    entry of the inverse, and caches it.
 
 Every basis->m matrix is integral, and so are the inverses for e, h and
 s; matrix entries are stored as `int` where integral, so only the m->p
@@ -33,8 +34,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
 from . import memo
-from .coeffring import ZERO, CoeffQT, Exponents, Rational
-from .errors import LLTError
+from .coeffring import ZERO, CoeffQT, Exponents, Rational, _div
+from .errors import LLTError, NotDivisible
 from .partitions import (
     DEGREE_BOUND,
     Partition,
@@ -421,24 +422,38 @@ def _expand_in_m(basis: str, lam: Partition) -> dict[Partition, int]:
 
 
 def _invert(mat: list[list[int]]) -> list[list[Rational]]:
-    """Invert a square matrix over the rationals by Gauss-Jordan elimination.
+    """Invert a square integer matrix by fraction-free Gauss-Jordan elimination.
 
-    Entries of the inverse are returned as `int` where integral.
+    Bareiss's scheme on [mat | I] over `int`: at column c the first nonzero
+    entry at or below row c is swapped up as the pivot p, and every other
+    row becomes (p * row - row[c] * pivot_row) / prev, where prev is the
+    previous pivot (1 at the first column).  Sylvester's identity makes each division exact; a
+    remainder raises `NotDivisible`, so a bug can never round.  The left
+    block ends diagonal, and each entry of the inverse is one exact
+    division, an `int` where integral and a reduced `Fraction` otherwise.
     """
     n = len(mat)
-    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
             raise LLTError("transition matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
+        top = aug[col]
+        p = top[col]
         for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [[v.numerator if v.denominator == 1 else v for v in row[n:]] for row in aug]
+            if r != col:
+                f = aug[r][col]
+                row = []
+                for a, b in zip(aug[r], top):
+                    q, rem = divmod(p * a - f * b, prev)
+                    if rem:
+                        raise NotDivisible(f"fraction-free elimination left a remainder at column {col}")
+                    row.append(q)
+                aug[r] = row
+        prev = p
+    return [[_div(v, row[i]) for v in row[n:]] for i, row in enumerate(aug)]
 
 
 def _transition(basis: str, d: int):

@@ -1,8 +1,9 @@
 import pytest
 
-from lltpaths.errors import BoundExceeded, SizeMismatch
+from lltpaths.errors import BoundExceeded, InvalidArgument, SizeMismatch
 from lltpaths.partitions import (
     DEGREE_BOUND,
+    compositions,
     conjugate,
     dominates,
     kostka,
@@ -48,6 +49,60 @@ def test_kostka_dominance_vanishing():
             for lam in partitions_of(n):
                 if not dominates(mu, lam):
                     assert kostka(mu, lam) == 0, (mu, lam)
+
+
+def _enumerated_kostka(mu, lam):
+    """Reference: count the tableaux of shape mu and content lam by row-filling enumeration."""
+    remaining = list(lam)
+    rows = [[] for _ in mu]
+
+    def fill(r, c):
+        if r == len(mu):
+            return 1
+        if c == mu[r]:
+            return fill(r + 1, 0)
+        lo = rows[r][c - 1] if c else 1
+        if r and c < mu[r - 1]:
+            lo = max(lo, rows[r - 1][c] + 1)
+        total = 0
+        for v in range(lo, len(lam) + 1):
+            if remaining[v - 1]:
+                remaining[v - 1] -= 1
+                rows[r].append(v)
+                total += fill(r, c + 1)
+                rows[r].pop()
+                remaining[v - 1] += 1
+        return total
+
+    return fill(0, 0)
+
+
+def test_kostka_equals_tableau_enumeration():
+    for n in range(9):
+        for mu in partitions_of(n):
+            for lam in partitions_of(n):
+                assert kostka(mu, lam) == _enumerated_kostka(mu, lam), (mu, lam)
+    # composition contents, zeros included
+    for n in range(6):
+        for k in range(n + 2):
+            for alpha in weak_compositions(n, k):
+                for mu in partitions_of(n):
+                    assert kostka(mu, alpha) == _enumerated_kostka(mu, alpha), (mu, alpha)
+
+
+def test_kostka_refuses_a_bad_shape_or_content():
+    for mu, lam in [((3,), (2, -1, 2)), ((1, 2), (2, 1)), ((2, 0), (1, 1)), ((2, -1), (1,))]:
+        with pytest.raises(InvalidArgument):
+            kostka(mu, lam)
+    assert kostka((2, 1), (1, 0, 2)) == kostka((2, 1), (2, 1)) == 1
+
+
+def test_compositions_refuse_negative_arguments():
+    for call in (lambda: compositions(-1), lambda: weak_compositions(-1, 2),
+                 lambda: weak_compositions(2, -1), lambda: weak_compositions(0, -1)):
+        with pytest.raises(InvalidArgument):
+            call()
+    assert compositions(3) == [(3,), (2, 1), (1, 2), (1, 1, 1)]
 
 
 def test_weak_compositions():

@@ -292,3 +292,41 @@ def test_transitions_equal_the_per_term_reference(basis):
         assert_canonical(to_m)
         assert_canonical(from_m)
         assert symfunc._from_m(basis, to_m) == f
+
+
+def _fraction_invert(mat):
+    """Reference: Gauss-Jordan elimination in Fraction arithmetic, integral entries as int."""
+    n = len(mat)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            raise LLTError("transition matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [[v.numerator if v.denominator == 1 else v for v in row[n:]] for row in aug]
+
+
+@pytest.mark.parametrize("basis", "ehps")
+def test_fraction_free_inverse_equals_the_fraction_reference(basis):
+    for d in range(9):
+        parts = partitions_of(d)
+        to_m = symfunc._transition(basis, d)[0]
+        mat = [[to_m[lam].get(mu, 0) for mu in parts] for lam in parts]
+        got, want = symfunc._invert(mat), _fraction_invert(mat)
+        assert got == want, (basis, d)
+        assert [[type(v) for v in row] for row in got] == [[type(v) for v in row] for row in want], (basis, d)
+
+
+def test_fraction_free_inverse_of_a_rational_matrix_and_a_singular_one():
+    # det 2: the inverse carries halves, reduced, and ints where they divide
+    assert symfunc._invert([[2, 1], [0, 1]]) == [[Fraction(1, 2), Fraction(-1, 2)], [0, 1]]
+    assert symfunc._invert([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
+    for mat in ([[1, 2], [2, 4]], [[0, 0], [0, 1]], [[1, 1, 0], [0, 1, 1], [1, 2, 1]]):
+        with pytest.raises(LLTError):
+            symfunc._invert(mat)
