@@ -7,8 +7,11 @@ identical inputs.
 
 Each `_cmd_*` handler only computes: it returns `(params, result,
 human_lines, failure_report)`, the last `None` unless a sweep failed.
-`main` alone prints the JSON document or the human lines (then, in human
-mode, the failure report as one JSON line) and chooses the exit code.
+A human line is a tuple of printable objects (a `SymFunc` itself, not its
+text), which `print` joins with spaces.  `main` alone renders them, in
+human mode only, so a `--json` request never formats a polynomial; it
+prints the JSON document or the human lines (then, in human mode, the
+failure report as one JSON line) and chooses the exit code.
 Handlers call library functions by their names in this module's globals,
 looked up at call time, so rebinding a name here reaches every request.
 """
@@ -19,6 +22,7 @@ import argparse
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import harmonics
 from .errors import LLTError
@@ -29,6 +33,62 @@ from .schroeder import SIZE_BOUND, area, enumerate_paths, graph, parse
 from .schur import elw_schur, kostka_schur
 
 SCHEMA = "lltpaths/1"
+
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}  # as `json` writes them
+
+
+def _indented_json(o) -> str:
+    """The text of `json.dumps(o, indent=2, sort_keys=True)`, written directly.
+
+    With `indent` the standard library falls back to its pure-Python
+    encoder (on Python 3.10 and 3.11); this writer produces the same bytes
+    as pieces joined once.  It takes dicts with str keys (written sorted),
+    lists, tuples, str (escaped by the C `encode_basestring_ascii`), int,
+    float, bool and None, and raises `TypeError` on anything else, before
+    the text is returned.
+    """
+    parts: list[str] = []
+    _write_json(o, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(o, newline: str, out) -> None:
+    """Pass the text of o to `out` piece by piece; `newline` is the line break plus o's indent."""
+    if isinstance(o, str):
+        out(_quote(o))
+    elif isinstance(o, int):
+        out("true" if o is True else "false" if o is False else int.__repr__(o))
+    elif isinstance(o, dict):
+        if not o:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            out(sep)
+            out(_quote(key))  # a key that is not a str raises TypeError here
+            out(": ")
+            _write_json(o[key], inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for v in o:
+            out(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif o is None:
+        out("null")
+    elif isinstance(o, float):
+        text = float.__repr__(o)
+        out(_NON_FINITE.get(text, text))
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _check_size(n: int, args) -> None:
@@ -47,7 +107,7 @@ def _cmd_paths(args):
         "words": [p.word for p in paths],
         "dyck": [p.is_dyck() for p in paths],
     }
-    return {"n": args.n, "dyck": args.dyck}, result, [str(len(paths))], None
+    return {"n": args.n, "dyck": args.dyck}, result, [(len(paths),)], None
 
 
 def _cmd_expand(args):
@@ -71,7 +131,7 @@ def _cmd_expand(args):
             "orientations": 2 ** area(path),
         }
     params = {"word": args.word, "basis": args.basis, "method": args.method, "shift_q": args.shift_q}
-    return params, result, [str(out)], None
+    return params, result, [(out,)], None
 
 
 def _cmd_equality(args):
@@ -87,7 +147,7 @@ def _cmd_equality(args):
                 failures.append({"path": p.word, "discrepancy": discrepancy.to_obj()})
     result = {"paths_checked": total, "failures": failures}
     human = f"FAILED on {len(failures)} of {total} paths" if failures else f"main identity holds on all {total} paths"
-    return {"max_n": args.max_n}, result, [human], {"failures": failures} if failures else None
+    return {"max_n": args.max_n}, result, [(human,)], {"failures": failures} if failures else None
 
 
 def _cmd_verify(args):
@@ -110,7 +170,7 @@ def _cmd_verify(args):
         ],
     }
     human = [
-        f"{name}: {'PASS' if not agg['failures'] else 'FAIL'} ({agg['instances']} instances)"
+        (f"{name}: {'PASS' if not agg['failures'] else 'FAIL'} ({agg['instances']} instances)",)
         for name, agg in merged.items()
     ]
     failed = [suite for suite in result["suites"] if not suite["passed"]]
@@ -126,27 +186,27 @@ def _cmd_schur(args):
         f = kostka_schur(path, args.unsafe_max_n)
     else:
         f = llt(path, args.unsafe_max_n).convert("s")
-    return {"word": args.word, "method": args.method}, f.to_obj(), [str(f)], None
+    return {"word": args.word, "method": args.method}, f.to_obj(), [(f,)], None
 
 
 def _cmd_nabla_e(args):
     f = harmonics.nabla_e(args.n, args.unsafe_max_n)
-    return {"n": args.n}, f.to_obj(), [str(f)], None
+    return {"n": args.n}, f.to_obj(), [(f,)], None
 
 
 def _cmd_nabla_p(args):
     f = harmonics.nabla_p(args.n, args.unsafe_max_n)
-    return {"n": args.n}, f.to_obj(), [f"(-1)^(n-1) nabla p_{args.n} = {f}"], None
+    return {"n": args.n}, f.to_obj(), [(f"(-1)^(n-1) nabla p_{args.n} =", f)], None
 
 
 def _cmd_hl(args):
     f = harmonics.hall_littlewood(tuple(args.mu), args.unsafe_max_n)
-    return {"mu": args.mu}, f.to_obj(), [str(f)], None
+    return {"mu": args.mu}, f.to_obj(), [(f,)], None
 
 
 def _cmd_chromatic(args):
     f = chromatic(parse(args.word), args.unsafe_max_n).convert("e")
-    return {"word": args.word}, f.to_obj(), [str(f)], None
+    return {"word": args.word}, f.to_obj(), [(f,)], None
 
 
 def _cmd_survey(args):
@@ -155,10 +215,10 @@ def _cmd_survey(args):
     if not args.witness:
         obj = {k: v for k, v in obj.items() if k != "entries"}
     human = [
-        f"coefficients checked: {len(rep.entries)}",
-        f"all nonnegative: {rep.all_nonneg}",
-        f"unimodal: {rep.unimodal_count}/{len(rep.entries)}",
-        f"log-concave: {rep.log_concave_count}/{len(rep.entries)}",
+        ("coefficients checked:", len(rep.entries)),
+        ("all nonnegative:", rep.all_nonneg),
+        ("unimodal:", f"{rep.unimodal_count}/{len(rep.entries)}"),
+        ("log-concave:", f"{rep.log_concave_count}/{len(rep.entries)}"),
     ]
     return {"max_n": args.max_n}, obj, human, None
 
@@ -259,10 +319,10 @@ def main(argv: list[str] | None = None) -> int:
             "result": result,
             "wall_time_s": round(time.monotonic() - started, 6),
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_indented_json(doc))
     else:
         for line in human:
-            print(line)
+            print(*line)
         if failure is not None:
             print(json.dumps({"schema": SCHEMA, **failure}, sort_keys=True))
     return 0 if failure is None else 1

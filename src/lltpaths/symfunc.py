@@ -10,12 +10,15 @@ the monomial basis with per-degree transition matrices:
   * s_mu = sum_lam K_{mu,lam} m_lam with Kostka numbers from the
     branching rule;
   * the reverse direction inverts the transition matrix once per degree
-    by fraction-free integer elimination, with one exact division per
-    entry of the inverse, and caches it.
+    by fraction-free integer elimination and caches it as integer rows
+    over one common denominator.
 
 Every basis->m matrix is integral, and so are the inverses for e, h and
-s; matrix entries are stored as `int` where integral, so only the m->p
-inverse (the 1/z_lambda factors) carries `Fraction` entries.
+s (common denominator 1).  The m->p inverse carries the 1/z_lambda
+factors; its common denominator is the lcm of theirs, d! at every degree
+d <= 8.  A conversion from m accumulates on the integer rows and divides
+each output coefficient once, exactly, so no transition entry is a
+`Fraction`.
 
 Every sum of scalar * vector, `+`, `-` and each conversion (one sum of
 scalar * transition row of the term's own degree) included, goes through
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Mapping, Union
 
 from . import memo
@@ -49,7 +53,8 @@ BASES = ("m", "e", "h", "p", "s")
 ScalarLike = Union[int, Fraction, CoeffQT]
 
 _M_MUL_CACHE: dict[tuple[Partition, Partition], dict[Partition, int]] = memo.table("_M_MUL_CACHE")
-_TRANSITION_CACHE: dict[tuple[str, int], tuple[dict[Partition, dict[Partition, Rational]], dict[Partition, dict[Partition, Rational]]]] = memo.table("_TRANSITION_CACHE")
+Rows = dict[Partition, dict[Partition, int]]
+_TRANSITION_CACHE: dict[tuple[str, int], tuple[Rows, Rows, int]] = memo.table("_TRANSITION_CACHE")
 
 
 def _coeff(v: ScalarLike) -> CoeffQT:
@@ -421,16 +426,19 @@ def _expand_in_m(basis: str, lam: Partition) -> dict[Partition, int]:
     return out
 
 
-def _invert(mat: list[list[int]]) -> list[list[Rational]]:
+def _invert(mat: list[list[int]]) -> tuple[list[list[int]], int]:
     """Invert a square integer matrix by fraction-free Gauss-Jordan elimination.
 
     Bareiss's scheme on [mat | I] over `int`: at column c the first nonzero
     entry at or below row c is swapped up as the pivot p, and every other
     row becomes (p * row - row[c] * pivot_row) / prev, where prev is the
-    previous pivot (1 at the first column).  Sylvester's identity makes each division exact; a
-    remainder raises `NotDivisible`, so a bug can never round.  The left
-    block ends diagonal, and each entry of the inverse is one exact
-    division, an `int` where integral and a reduced `Fraction` otherwise.
+    previous pivot (1 at the first column).  Sylvester's identity makes each
+    division exact; a remainder raises `NotDivisible`, so a bug can never
+    round.  The left block ends as det * I, det the last pivot, and the
+    right block as det times the inverse.  Returns (rows, den): the inverse
+    is rows / den, with rows integral and den > 0 the least common
+    denominator of its entries (the right block and det divided by their
+    gcd).
     """
     n = len(mat)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
@@ -453,15 +461,20 @@ def _invert(mat: list[list[int]]) -> list[list[Rational]]:
                     row.append(q)
                 aug[r] = row
         prev = p
-    return [[_div(v, row[i]) for v in row[n:]] for i, row in enumerate(aug)]
+    adj = [row[n:] for row in aug]
+    g = gcd(prev, *(v for row in adj for v in row))
+    if prev < 0:
+        g = -g
+    return [[v // g for v in row] for row in adj], prev // g
 
 
 def _transition(basis: str, d: int):
     """The transition rows of degree d, cached per degree.
 
-    Returns (to_m, from_m): to_m[lam] is the m-expansion of b_lam and
-    from_m[mu] the expansion of m_mu in the basis, each a sparse
-    {partition: coefficient} row.  Cache inserts are idempotent, so
+    Returns (to_m, from_m, den): to_m[lam] is the m-expansion of b_lam and
+    from_m[mu] / den the expansion of m_mu in the basis, each row a sparse
+    {partition: int} map and den the least common denominator of the
+    inverse (1 for e, h and s).  Cache inserts are idempotent, so
     concurrent construction is harmless.
     """
     key = (basis, d)
@@ -478,12 +491,12 @@ def _transition(basis: str, d: int):
         for mu, v in _expand_in_m(basis, lam).items():
             row[index[mu]] = v
         mat.append(row)
-    inv = _invert(mat)
+    inv, den = _invert(mat)
 
-    def sparse(rows: list[list[Rational]]) -> dict[Partition, dict[Partition, Rational]]:
+    def sparse(rows: list[list[int]]) -> Rows:
         return {lam: {mu: v for mu, v in zip(parts, row) if v} for lam, row in zip(parts, rows)}
 
-    result = (sparse(mat), sparse(inv))
+    result = (sparse(mat), sparse(inv), den)
     _TRANSITION_CACHE[key] = result
     return result
 
@@ -496,10 +509,22 @@ def _to_m(f: SymFunc) -> SymFunc:
 
 
 def _from_m(basis: str, f: SymFunc) -> SymFunc:
-    """A function given in the m-basis, expressed in `basis` through the inverse rows."""
-    return linear_combination(
+    """A function given in the m-basis, expressed in `basis` through the inverse rows.
+
+    The sum runs on the integer rows; each output coefficient is then
+    divided once by its degree's denominator, an exact `_div` that leaves
+    an `int` where the quotient is integral and a reduced `Fraction`
+    otherwise.
+    """
+    out = linear_combination(
         basis, [(c, _transition(basis, sum(mu))[1][mu]) for mu, c in f.coeffs.items()]
     )
+    for lam, c in out.coeffs.items():
+        den = _transition(basis, sum(lam))[2]
+        if den != 1:
+            # c was just built by the kernel and is referenced nowhere else
+            c.terms = {k: _div(v, den) for k, v in c.terms.items()}
+    return out
 
 
 # -- Jacobi-Trudi straightening -------------------------------------------------

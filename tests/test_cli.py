@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -371,3 +373,70 @@ def test_unsafe_max_n_above_the_degree_bound_is_a_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["paths", "3", "--unsafe-max-n", "13"])
     assert err.value.code == 2
+
+
+# Human output, byte for byte; handlers return objects and `main` renders them, so the text is pinned here.
+HUMAN_OUTPUT = {
+    "expand nndee --basis s": "q^2*s[1,1,1] + q*s[2,1]\n",
+    "schur nndee --method elw": "q^2*s[1,1,1] + q*s[2,1]\n",
+    "nabla-p 3": (
+        "(-1)^(n-1) nabla p_3 = (q^3*t^2 + q^3*t + q^3 + q^2*t^3 + q^2*t^2 + q^2*t + q*t^3 + q*t^2 + q*t + t^3)*s[1,1,1]"
+        " + (q^2*t^2 + q^2*t + q^2 + q*t^2 + q*t + q + t^2 + t)*s[2,1] + s[3]\n"
+    ),
+    "hl 2 1": "s[2,1] + q*s[3]\n",
+    "chromatic nnee": "(q + 1)*e[2]\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HUMAN_OUTPUT))
+def test_human_output_is_unchanged(capsys, command):
+    assert run(capsys, *command.split()) == (0, HUMAN_OUTPUT[command])
+
+
+GOLDEN_COMMANDS = sorted(json.loads((Path(__file__).resolve().parent / "golden" / "corpus.json").read_text())["cli"])
+
+
+def test_golden_json_is_the_indented_dumps_text_and_renders_no_polynomial(capsys, monkeypatch):
+    rendered = []
+    render = SymFunc.__str__
+    monkeypatch.setattr(SymFunc, "__str__", lambda f: rendered.append(f) or render(f))
+    for command in GOLDEN_COMMANDS:
+        code, out = run(capsys, *command.split(), "--json")
+        assert code == 0, command
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n", command
+        assert out == cli._indented_json(doc) + "\n", command
+    assert rendered == []
+    run(capsys, "hl", "2", "1")
+    assert len(rendered) == 1  # the counter sees a human-mode rendering
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[], {}], "d": {"e": {"f": []}}},
+        ["héllo ☃ 𝄞", "\x00\x1f\x7f", 'quote " and backslash \\', "\n\t\r\b\f", ""],
+        {"é": 1, "z": 2, "a": 3, "": 4, "A": {"b": "ü"}},
+        [0, -1, -(2**70), 2**64, 2**64 + 1],
+        [True, False, None, {"t": True, "f": False, "n": None}],
+        [0.0, 1e-06, 123.456789, -0.0, 1e300, float("inf"), float("-inf"), float("nan")],
+        (1, "a", (2, ()), {"t": (1, (2,))}),
+        "top-level string",
+        7,
+        None,
+    ],
+)
+def test_the_json_writer_matches_dumps_on_edge_cases(doc):
+    assert cli._indented_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, Fraction(1, 2), {1: "a"}, {"ok": [{"fine": 1, 2: "not"}]}, b"bytes"])
+def test_the_json_writer_refuses_other_types_before_printing(capsys, monkeypatch, bad):
+    with pytest.raises(TypeError):
+        cli._indented_json(bad)
+    monkeypatch.setattr(cli, "SCHEMA", bad)
+    with pytest.raises(TypeError):
+        main(["paths", "2", "--json"])
+    assert capsys.readouterr().out == ""

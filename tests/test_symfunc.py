@@ -1,12 +1,13 @@
 import random
 
 from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
 
 from lltpaths import symfunc
 from lltpaths.coeffring import CoeffQT
-from lltpaths.errors import LLTError
+from lltpaths.errors import LLTError, NotDivisible
 from lltpaths.llt import llt
 from lltpaths.partitions import kostka, partitions_of
 from lltpaths.schroeder import enumerate_paths
@@ -288,10 +289,16 @@ def test_transitions_equal_the_per_term_reference(basis):
         assert to_m == _per_term("m", f, lambda lam: symfunc._transition(basis, sum(lam))[0][lam])
         g = random_laurent_symfunc(rng, "m", max_degree=5)
         from_m = symfunc._from_m(basis, g)
-        assert from_m == _per_term(basis, g, lambda mu: symfunc._transition(basis, sum(mu))[1][mu])
+        assert from_m == _per_term(basis, g, lambda mu: _inverse_row(basis, mu))
         assert_canonical(to_m)
         assert_canonical(from_m)
         assert symfunc._from_m(basis, to_m) == f
+
+
+def _inverse_row(basis, mu):
+    """The expansion of m_mu in the basis: its integer inverse row over the degree's denominator."""
+    _, from_m, den = symfunc._transition(basis, sum(mu))
+    return {lam: Fraction(v, den) for lam, v in from_m[mu].items()}
 
 
 def _fraction_invert(mat):
@@ -316,17 +323,39 @@ def _fraction_invert(mat):
 def test_fraction_free_inverse_equals_the_fraction_reference(basis):
     for d in range(9):
         parts = partitions_of(d)
-        to_m = symfunc._transition(basis, d)[0]
+        to_m, from_m, den = symfunc._transition(basis, d)
         mat = [[to_m[lam].get(mu, 0) for mu in parts] for lam in parts]
-        got, want = symfunc._invert(mat), _fraction_invert(mat)
-        assert got == want, (basis, d)
-        assert [[type(v) for v in row] for row in got] == [[type(v) for v in row] for row in want], (basis, d)
+        entries = [v for row in from_m.values() for v in row.values()]
+        assert all(type(v) is int for v in entries), (basis, d)
+        got = [[Fraction(from_m[lam].get(mu, 0), den) for mu in parts] for lam in parts]
+        assert got == _fraction_invert(mat), (basis, d)
+        # the least common denominator: no factor of it divides every entry
+        assert gcd(den, *entries) == 1, (basis, d)
+        assert den == (factorial(d) if basis == "p" else 1), (basis, d)
+
+
+def test_m_to_p_to_m_is_the_identity_up_to_degree_8():
+    for d in range(9):
+        for lam in partitions_of(d):
+            m = SymFunc.basis_element("m", lam)
+            assert m.convert("p").convert("m") == m, lam
 
 
 def test_fraction_free_inverse_of_a_rational_matrix_and_a_singular_one():
-    # det 2: the inverse carries halves, reduced, and ints where they divide
-    assert symfunc._invert([[2, 1], [0, 1]]) == [[Fraction(1, 2), Fraction(-1, 2)], [0, 1]]
-    assert symfunc._invert([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
+    # det 2: rows over the common denominator 2; det -2: the denominator stays positive
+    assert symfunc._invert([[2, 1], [0, 1]]) == ([[1, -1], [0, 2]], 2)
+    assert symfunc._invert([[1, 2], [3, 4]]) == ([[-4, 2], [3, -1]], 2)
+    assert symfunc._invert([[0, 1], [1, 0]]) == ([[0, 1], [1, 0]], 1)
     for mat in ([[1, 2], [2, 4]], [[0, 0], [0, 1]], [[1, 1, 0], [0, 1, 1], [1, 2, 1]]):
         with pytest.raises(LLTError):
             symfunc._invert(mat)
+
+
+def test_a_division_that_does_not_divide_raises_rather_than_rounds():
+    # a non-integral entry makes an elimination step leave a remainder, which floor division would drop
+    with pytest.raises(NotDivisible):
+        symfunc._invert([[Fraction(1, 2), 1], [1, 1]])
+    # m_11 = (p_11 - p_2) / 2: a quotient that does not divide is a reduced Fraction
+    got = SymFunc.basis_element("m", (1, 1)).convert("p")
+    assert got == SymFunc("p", {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)})
+    assert_canonical(got)
