@@ -5,8 +5,9 @@ Exit codes: 0 on success, 1 when a verification sweep reports failures
 JSON output carries a top-level schema tag and is stable across runs for
 identical inputs.
 
-Each `_cmd_*` handler only computes: it returns `(params, result,
-human_lines, failure_report)`, the last `None` unless a sweep failed.
+Each `_cmd_*` handler only computes: it returns `(result, human_lines,
+failure_report)`, the last `None` unless a sweep failed.  `main` takes
+the JSON document's params from the parsed options, less `_SHARED`.
 A human line is a tuple of printable objects (a `SymFunc` itself, not its
 text), which `print` joins with spaces.  `main` alone renders them, in
 human mode only, so a `--json` request never formats a polynomial; it
@@ -33,6 +34,9 @@ from .schroeder import SIZE_BOUND, area, enumerate_paths, graph, parse
 from .schur import elw_schur, kostka_schur
 
 SCHEMA = "lltpaths/1"
+# Parsed options that are not params of a request: the subcommand, its
+# handler, and the output, size-guard and witness options.
+_SHARED = frozenset({"command", "handler", "json", "unsafe_max_n", "witness"})
 
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}  # as `json` writes them
 
@@ -107,7 +111,7 @@ def _cmd_paths(args):
         "words": [p.word for p in paths],
         "dyck": [p.is_dyck() for p in paths],
     }
-    return {"n": args.n, "dyck": args.dyck}, result, [(len(paths),)], None
+    return result, [(len(paths),)], None
 
 
 def _cmd_expand(args):
@@ -130,8 +134,7 @@ def _cmd_expand(args):
             "colorings_by_content": {str(list(lam)): str(by_content.get(lam, 0)) for lam in partitions_of(path.size)},
             "orientations": 2 ** area(path),
         }
-    params = {"word": args.word, "basis": args.basis, "method": args.method, "shift_q": args.shift_q}
-    return params, result, [(out,)], None
+    return result, [(out,)], None
 
 
 def _cmd_equality(args):
@@ -147,7 +150,7 @@ def _cmd_equality(args):
                 failures.append({"path": p.word, "discrepancy": discrepancy.to_obj()})
     result = {"paths_checked": total, "failures": failures}
     human = f"FAILED on {len(failures)} of {total} paths" if failures else f"main identity holds on all {total} paths"
-    return {"max_n": args.max_n}, result, [(human,)], {"failures": failures} if failures else None
+    return result, [(human,)], {"failures": failures} if failures else None
 
 
 def _cmd_verify(args):
@@ -175,7 +178,7 @@ def _cmd_verify(args):
     ]
     failed = [suite for suite in result["suites"] if not suite["passed"]]
     report = {"failed_suites": failed} if failed else None
-    return {"suite": args.suite, "max_n": args.max_n}, result, human, report
+    return result, human, report
 
 
 def _cmd_schur(args):
@@ -186,27 +189,27 @@ def _cmd_schur(args):
         f = kostka_schur(path, args.unsafe_max_n)
     else:
         f = llt(path, args.unsafe_max_n).convert("s")
-    return {"word": args.word, "method": args.method}, f.to_obj(), [(f,)], None
+    return f.to_obj(), [(f,)], None
 
 
 def _cmd_nabla_e(args):
     f = harmonics.nabla_e(args.n, args.unsafe_max_n)
-    return {"n": args.n}, f.to_obj(), [(f,)], None
+    return f.to_obj(), [(f,)], None
 
 
 def _cmd_nabla_p(args):
     f = harmonics.nabla_p(args.n, args.unsafe_max_n)
-    return {"n": args.n}, f.to_obj(), [(f"(-1)^(n-1) nabla p_{args.n} =", f)], None
+    return f.to_obj(), [(f"(-1)^(n-1) nabla p_{args.n} =", f)], None
 
 
 def _cmd_hl(args):
     f = harmonics.hall_littlewood(tuple(args.mu), args.unsafe_max_n)
-    return {"mu": args.mu}, f.to_obj(), [(f,)], None
+    return f.to_obj(), [(f,)], None
 
 
 def _cmd_chromatic(args):
     f = chromatic(parse(args.word), args.unsafe_max_n).convert("e")
-    return {"word": args.word}, f.to_obj(), [(f,)], None
+    return f.to_obj(), [(f,)], None
 
 
 def _cmd_survey(args):
@@ -220,7 +223,7 @@ def _cmd_survey(args):
         ("unimodal:", f"{rep.unimodal_count}/{len(rep.entries)}"),
         ("log-concave:", f"{rep.log_concave_count}/{len(rep.entries)}"),
     ]
-    return {"max_n": args.max_n}, obj, human, None
+    return obj, human, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         PARSER.error(f"--unsafe-max-n may not exceed {DEGREE_BOUND}, the largest degree the algebra accepts")
     started = time.monotonic()
     try:
-        params, result, human, failure = args.handler(args)
+        result, human, failure = args.handler(args)
     except LLTError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -315,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         doc = {
             "schema": SCHEMA,
             "command": args.command,
-            "params": params,
+            "params": {k: v for k, v in vars(args).items() if k not in _SHARED},
             "result": result,
             "wall_time_s": round(time.monotonic() - started, 6),
         }

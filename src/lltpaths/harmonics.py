@@ -165,18 +165,14 @@ def survey_e_coefficients(max_n: int, bound: int = SIZE_BOUND) -> SurveyReport:
         for path in enumerate_paths(n, bound=bound):
             shifted = orientation_e_expansion(path, bound)
             for mu, coeff in sorted(shifted.coeffs.items()):
-                top = coeff.q_degree() or 0
-                values = [0] * (top + 1)
-                nonneg = True
+                values = [0] * ((coeff.q_degree() or 0) + 1)
                 for (eq, _et), v in coeff.terms.items():
-                    if v.denominator != 1 or v < 0:
-                        nonneg = False
-                    values[eq] = int(v) if v.denominator == 1 else 0
+                    values[eq] = v
                 entry = SurveyEntry(
                     word=path.word,
                     mu=mu,
                     coefficients=values,
-                    nonneg=nonneg and coeff.is_nonneg(),
+                    nonneg=coeff.is_nonneg(),
                     unimodal=_is_unimodal(values),
                     mode=max(range(len(values)), key=lambda i: values[i]),
                     log_concave=_is_log_concave(values),

@@ -57,7 +57,7 @@ from typing import Callable
 
 from . import memo
 from .coeffring import CoeffQT
-from .errors import BoundExceeded, HasDiagonal, InvalidColoring
+from .errors import BoundExceeded, HasDiagonal, InvalidArgument, InvalidColoring
 from .partitions import partition_slots, partitions_of
 from .schroeder import SIZE_BOUND, DecoratedGraph, SchroederPath, graph
 from .symfunc import SymFunc
@@ -107,9 +107,11 @@ def asc_coloring(g: DecoratedGraph, kappa: Coloring) -> int:
 
 
 def swap_coloring(g: DecoratedGraph, kappa: Coloring, x: int, y: int) -> Coloring:
-    """Exchange the colors of the adjacent vertices x and y = x+1."""
+    """Exchange the colors of the adjacent vertices x and y = x+1, 1 <= x < n."""
     if y != x + 1:
         raise ValueError("the swap map exchanges adjacent vertices only")
+    if not 1 <= x < g.n:
+        raise InvalidArgument(f"the swap map needs 1 <= x < {g.n}, got x = {x}")
     out = list(kappa)
     out[x - 1], out[y - 1] = out[y - 1], out[x - 1]
     return tuple(out)
@@ -357,7 +359,9 @@ def _theta_labels(g: DecoratedGraph, theta: Orientation) -> list[int]:
 
 
 def hrv(g: DecoratedGraph, theta: Orientation, u: int) -> int:
-    """Highest vertex reachable from u along strict and ascending edges."""
+    """Highest vertex reachable from u along strict and ascending edges, 1 <= u <= n."""
+    if not 1 <= u <= g.n:
+        raise InvalidArgument(f"vertex {u} is outside 1..{g.n}")
     return _theta_labels(g, theta)[u]
 
 
@@ -478,11 +482,14 @@ def coloring_weight_split(path: SchroederPath, x: int, bound: int = SIZE_BOUND):
     vector to the ascent tally of the colorings with kappa(x) < kappa(x+1)
     resp. kappa(x) > kappa(x+1).  Used to check the swap-map identity.
     The backtrack walks up to n^n colorings (all of them on a path with no
-    area), so a size above `bound` is refused before any work.
+    area), so a size above `bound`, or an x outside 1..n-1, is refused
+    before any work.
     """
     n = path.size
     if n > bound:
         raise BoundExceeded(f"coloring_weight_split on size {n} exceeds bound {bound}")
+    if not 1 <= x < n:
+        raise InvalidArgument(f"coloring_weight_split needs 1 <= x < {n}, got x = {x}")
     y = x + 1
     lower: dict[tuple[int, ...], dict[int, int]] = {}
     upper: dict[tuple[int, ...], dict[int, int]] = {}

@@ -36,8 +36,10 @@ of one content, at most n!.  Anything else, rational or t-terms from an
 injected ``llt_fn``, another basis, or a coefficient at the digit bound,
 makes its instances take the exact path, as does a nonzero discrepancy:
 ``symfunc.linear_combination`` forms the discrepancy of the route's
-values, and ``_record`` converts a nonzero one to e and records it.  So
-failure records do not depend on the packing.
+values, and ``_Suite.record`` counts the instance and converts a nonzero
+discrepancy to e and records it.  So failure records do not depend on the
+packing.  The chromatic suite's products and initial condition are
+counted and recorded by the same ``_Suite.record``.
 
 The default routes' packed values are kept in ``_PACKED_VALUES``, keyed
 by (route, word) and filled through the public ``llt`` and ``chromatic``
@@ -116,6 +118,7 @@ from .schroeder import (
     BounceData,
     Point,
     SchroederPath,
+    _decomposition,
     bounce_at,
     enumerate_paths,
     parse,
@@ -184,12 +187,6 @@ class RelationReport:
                 for f in self.failures
             ],
         }
-
-
-def _record(report: RelationReport, paths: list[str], point, acc: SymFunc) -> None:
-    """Record a failure if the discrepancy is nonzero, reported in the e-basis."""
-    if not acc.is_zero():
-        report.failures.append({"paths": paths, "point": point, "discrepancy": acc.convert("e")})
 
 
 class _Suite:
@@ -265,9 +262,14 @@ class _Suite:
             value = self.scalars[s] = sum(c << self.step * i for i, c in enumerate(s))
         return value
 
-    def check(self, point, lhs_word: str, terms: Terms) -> None:
-        """Record an instance lhs = sum(scalar * F(word)) and its discrepancy, if any."""
+    def record(self, paths: list[str], point, discrepancy: SymFunc) -> None:
+        """Count one instance; record a nonzero discrepancy as a failure, in the e-basis."""
         self.report.instances += 1
+        if not discrepancy.is_zero():
+            self.report.failures.append({"paths": paths, "point": point, "discrepancy": discrepancy.convert("e")})
+
+    def check(self, point, lhs_word: str, terms: Terms) -> None:
+        """Count an instance lhs = sum(scalar * F(word)); one not shown to pass packed goes to `record`."""
         acc = self.packed(lhs_word)
         for s, word in terms:
             if acc is None:
@@ -275,10 +277,11 @@ class _Suite:
             value = self.packed(word)
             acc = None if value is None else acc - self.scalar(s) * value
         if acc == 0:
+            self.report.instances += 1
             return
         lhs = self.value(lhs_word)
         negated = [(CoeffQT({(i, 0): -c for i, c in enumerate(s)}), self.value(word)) for s, word in terms]
-        _record(self.report, [lhs_word] + [word for _, word in terms], point, linear_combination(lhs.basis, [(1, lhs)] + negated))
+        self.record([lhs_word] + [word for _, word in terms], point, linear_combination(lhs.basis, [(1, lhs)] + negated))
 
 
 def verify_unicellular(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
@@ -332,11 +335,6 @@ def _bounce_walk(n: int, s34: str, bound: int) -> list[Record]:
                 records.append((word, point, e, s, kinds.setdefault(kind, kind)))
         _BOUNCE_WALKS[key] = records
     return records
-
-
-def _decomposition(word: str, e: int, s: int) -> tuple[str, str, str, str, str]:
-    """U, s1 s2, V, s3 s4, W of the word, around the end index e and the start index s."""
-    return word[: e - 1], word[e - 1 : e + 1], word[e + 1 : s - 1], word[s - 1 : s + 1], word[s + 1 :]
 
 
 # suite name -> (s1 s2 kinds, whether the bounce path has a single bounce
@@ -475,26 +473,23 @@ def verify_chromatic_relations(n: int, llt_fn: LltFn | None = None, bound: int =
     suite = _Suite("chromatic", n, llt_fn, "chromatic", bound)
     for _word, point, lhs, terms in _modular_instances(n, True, bound):
         suite.check(point, lhs, terms)
-    value, report = suite.value, suite.report
+    value = suite.value
     # multiplicativity on concatenations
     for k in range(1, n):
         for left in enumerate_paths(k, dyck_only=True, bound=bound):
             for right in enumerate_paths(n - k, dyck_only=True, bound=bound):
-                report.instances += 1
                 whole = left.word + right.word
-                acc = value(whole) - value(left.word) * value(right.word)
-                _record(report, [whole, left.word, right.word], None, acc)
+                suite.record([whole, left.word, right.word], None, value(whole) - value(left.word) * value(right.word))
     # path-graph initial condition through the plethystic bridge
     if n >= 1:
         k = n - 1
         word = "n" + "ne" * k + "e"
-        report.instances += 1
         bridged = dyck_path_graph_formula(k, bound).pleth_q_minus_1()
         divisor = (Q - 1) ** n
         bridged = bridged.map_coeffs(lambda c: c.exact_div(divisor))
         f = value(word)
-        _record(report, [word], None, bridged.convert(f.basis) - f)
-    return report
+        suite.record([word], None, bridged.convert(f.basis) - f)
+    return suite.report
 
 
 # The suites behind `verify --suite`, by name.  `extended` is an optional

@@ -278,13 +278,7 @@ def bounce_at(path: SchroederPath, point: Point) -> BounceData:
     s_idx = pts[point]
     decomposition = None
     if e_idx >= 1 and s_idx <= length - 1 and s_idx >= e_idx + 2:
-        decomposition = (
-            word[: e_idx - 1],
-            word[e_idx - 1 : e_idx + 1],
-            word[e_idx + 1 : s_idx - 1],
-            word[s_idx - 1 : s_idx + 1],
-            word[s_idx + 1 :],
-        )
+        decomposition = _decomposition(word, e_idx, s_idx)
     return BounceData(
         start=point,
         end=end,
@@ -294,6 +288,11 @@ def bounce_at(path: SchroederPath, point: Point) -> BounceData:
         end_index=e_idx,
         start_index=s_idx,
     )
+
+
+def _decomposition(word: str, e: int, s: int) -> tuple[str, str, str, str, str]:
+    """U, s1 s2, V, s3 s4, W of the word, around the end index e and the start index s."""
+    return word[: e - 1], word[e - 1 : e + 1], word[e + 1 : s - 1], word[s - 1 : s + 1], word[s + 1 :]
 
 
 def dyck_star(path: SchroederPath) -> SchroederPath:

@@ -20,14 +20,18 @@ d <= 8.  A conversion from m accumulates on the integer rows and divides
 each output coefficient once, exactly, so no transition entry is a
 `Fraction`.
 
-Every sum of scalar * vector, `+`, `-` and each conversion (one sum of
-scalar * transition row of the term's own degree) included, goes through
-one kernel, `linear_combination`: it adds raw {(q, t): coefficient} maps
-per partition and builds each `CoeffQT` of the result once, in canonical
-form.  The exception is `SymFunc.__mul__`, which accumulates term by
+Every sum of scalar * vector goes through one kernel,
+`linear_combination`: `+`, `-`, `scale`, each conversion (one sum of
+scalar * transition row of the term's own degree), the m-basis product
+(one sum of a * b * row of m_lam * m_mu) and the q-1 plethysm.  It adds
+raw {(q, t): coefficient} maps per partition and builds each `CoeffQT`
+of the result once, in canonical form.  The exception is the product of
+two functions in the same multiplicative basis (e, h, p), the
+evaluator's product: it concatenates partitions and accumulates term by
 term through `CoeffQT` arithmetic, because the benchmark's traced
-relation and recursion workloads gate on calls to that arithmetic;
-moving products onto the kernel goes with a change to those gates.
+recursion workload gates on calls to that arithmetic; moving it onto the
+kernel goes with a change to that gate.  `_m_mul`, the integer twin of
+the m-basis product, builds the transition rows.
 """
 
 from __future__ import annotations
@@ -142,10 +146,7 @@ class SymFunc:
         return linear_combination(self.basis, [(1, self), (-1, other)])
 
     def scale(self, v: ScalarLike) -> "SymFunc":
-        c = _coeff(v)
-        if c.is_zero():
-            return SymFunc(self.basis)
-        return SymFunc.from_canonical(self.basis, {lam: w * c for lam, w in self.coeffs.items()})
+        return linear_combination(self.basis, [(_coeff(v), self)])
 
     def map_coeffs(self, fn: Callable[[CoeffQT], CoeffQT]) -> "SymFunc":
         out = {}
@@ -184,7 +185,8 @@ class SymFunc:
 
         In a multiplicative basis (e, h, p) the product of basis elements
         is concatenation; the general case is monomial convolution in the
-        m-basis.  The two routes agree (this is checked in the tests).
+        m-basis, one kernel sum.  The two routes agree (this is checked in
+        the tests).
         """
         if not isinstance(other, SymFunc):
             return NotImplemented
@@ -199,19 +201,11 @@ class SymFunc:
                     else:
                         out[nu] = s
             return SymFunc.from_canonical(self.basis, out)
-        fm = self.convert("m")
-        gm = other.convert("m")
-        out = {}
-        for lam, a in fm.coeffs.items():
-            for mu, b in gm.coeffs.items():
-                ab = a * b
-                for nu, count in _m_mul_pair(lam, mu).items():
-                    s = out.get(nu, ZERO) + ab * count
-                    if s.is_zero():
-                        out.pop(nu, None)
-                    else:
-                        out[nu] = s
-        return SymFunc.from_canonical("m", out).convert(self.basis)
+        gm = other.convert("m").coeffs.items()
+        product = linear_combination(
+            "m", [(a * b, _m_mul_pair(lam, mu)) for lam, a in self.convert("m").coeffs.items() for mu, b in gm]
+        )
+        return product.convert(self.basis)
 
     # -- the classical involution and the one plethysm we need ---------------
 
@@ -221,16 +215,12 @@ class SymFunc:
 
     def pleth_q_minus_1(self) -> "SymFunc":
         """The substitution f |-> f[x(q-1)]: p_k -> (q^k - 1) p_k."""
-        p = self.convert("p")
-        out = {}
-        for lam, c in p.coeffs.items():
-            factor = CoeffQT.one()
+        terms = []
+        for lam, c in self.convert("p").coeffs.items():
             for part in lam:
-                factor = factor * (CoeffQT.q(part) - CoeffQT.one())
-            v = c * factor
-            if not v.is_zero():
-                out[lam] = v
-        return SymFunc("p", out).convert(self.basis)
+                c = c * (CoeffQT.q(part) - CoeffQT.one())
+            terms.append((c, {lam: 1}))
+        return linear_combination("p", terms).convert(self.basis)
 
     # -- serialization and display --------------------------------------------
 
@@ -407,11 +397,7 @@ def _expand_in_m(basis: str, lam: Partition) -> dict[Partition, int]:
     if basis == "m":
         return {lam: 1}
     if basis == "s":
-        return {
-            mu: kostka(lam, mu)
-            for mu in partitions_of(sum(lam))
-            if kostka(lam, mu)
-        }
+        return {mu: k for mu in partitions_of(sum(lam)) if (k := kostka(lam, mu))}
     out: dict[Partition, int] = {(): 1}
     for part in lam:
         if basis == "e":

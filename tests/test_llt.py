@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from lltpaths.coeffring import CoeffQT
-from lltpaths.errors import BoundExceeded, HasDiagonal, InvalidColoring
+from lltpaths.errors import BoundExceeded, HasDiagonal, InvalidArgument, InvalidColoring
 from lltpaths.llt import (
     PROPER,
     Orientation,
@@ -203,6 +203,27 @@ def test_swap_coloring():
     assert swap_coloring(g, swap_coloring(g, (1, 2), 1, 2), 1, 2) == (1, 2)
     with pytest.raises(ValueError):
         swap_coloring(g, (1, 2), 1, 3)
+
+
+def test_swap_coloring_refuses_a_vertex_outside_the_graph():
+    g = graph(parse("nndee"))
+    for x in (0, 3):  # x = 0 would swap the first and last colours
+        with pytest.raises(InvalidArgument):
+            swap_coloring(g, (1, 2, 3), x, x + 1)
+
+
+def test_hrv_refuses_a_vertex_outside_the_graph():
+    g = graph(parse("nndee"))
+    theta = orientations(parse("nndee"))[0]
+    for u in (-1, 0, 4):
+        with pytest.raises(InvalidArgument):
+            hrv(g, theta, u)
+
+
+def test_coloring_weight_split_refuses_x_outside_1_to_n_minus_1():
+    for x in (0, 2, -1):  # x = 0 compared the unused colors[0]; x = 2 indexed past the end
+        with pytest.raises(InvalidArgument):
+            coloring_weight_split(parse("nnee"), x)
 
 
 def test_swap_map_law():

@@ -1,4 +1,6 @@
+import hashlib
 import inspect
+import json
 import sys
 from fractions import Fraction
 from math import comb, factorial
@@ -383,6 +385,28 @@ def _corruptions(route):
         "t-exponent": _plus(route, lambda p: SymFunc.basis_element("e", (p.size,), CoeffQT.t() - 1)),
         "negative q-exponent": _plus(route, lambda p: SymFunc.basis_element("e", (p.size,), CoeffQT.q(-1))),
     }
+
+
+# The corrupted chromatic suite at sizes 1..5: failures per size and a digest of the
+# reports' sorted JSON, pinned so that any change in how the suite counts or records
+# its modular, multiplicativity and initial-condition instances shows.
+_CHROMATIC_PINS = {
+    "plain": ([0, 0, 0, 0, 0], "31f2d6add3ce9fc7"),
+    "golden in m": ([0, 1, 4, 18, 70], "aed3ee6fc0e9a74f"),
+    "golden in e": ([0, 1, 4, 18, 70], "aed3ee6fc0e9a74f"),
+    "rational": ([1, 2, 5, 15, 49], "bdf380d140d535d4"),
+    "t-exponent": ([1, 2, 5, 15, 49], "466f4a3fa44b8dcb"),
+    "negative q-exponent": ([1, 2, 5, 15, 49], "a6406742635b8a31"),
+}
+
+
+def test_corrupted_chromatic_reports_are_pinned():
+    for label, llt_fn in _corruptions(chromatic).items():
+        reports = _reports("chromatic", llt_fn)
+        failures, digest = _CHROMATIC_PINS[label]
+        assert [r["instances"] for r in reports] == [1, 2, 6, 21, 76], label
+        assert [len(r["failures"]) for r in reports] == failures, label
+        assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()[:16] == digest, label
 
 
 def _reports(name, llt_fn, sizes=range(1, 6)):

@@ -12,6 +12,7 @@ from lltpaths.errors import (
 )
 from lltpaths.schroeder import (
     SchroederPath,
+    _decomposition,
     area,
     bounce_at,
     dyck_star,
@@ -123,7 +124,7 @@ def test_bounce_small_cases():
 
 
 def test_bounce_reassembly_everywhere():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for p in enumerate_paths(n):
             for (x, z) in p.points():
                 if not (1 <= x < z):
@@ -133,6 +134,8 @@ def test_bounce_reassembly_everywhere():
                 assert list(parts) == sorted(set(parts), reverse=True), (p.word, x, z)
                 if data.decomposition is not None:
                     assert data.reassembled() == p.word
+                    # the cut the relation suites share, at the two indices
+                    assert _decomposition(p.word, data.end_index, data.start_index) == data.decomposition
                 if z > x + 1:
                     assert data.decomposition is not None, (p.word, x, z)
 

@@ -249,6 +249,34 @@ def test_linear_combination_reads_plain_rows_and_checks_the_basis():
         linear_combination("m", [(1, SymFunc.basis_element("e", (2,)))])
 
 
+def test_m_products_equal_the_e_concatenation_and_the_integer_convolution():
+    rng = random.Random(19)
+    for left, right in ("mm", "ms", "sm", "ss") * 8:
+        f = random_laurent_symfunc(rng, left, max_degree=3)
+        g = random_laurent_symfunc(rng, right, max_degree=3)
+        got = f * g
+        assert got.basis == left
+        assert got == (f.convert("e") * g.convert("e")).convert(left), (left, right)
+        assert_canonical(got)
+        # integer inputs: the kernel product is the integer convolution that builds the transition rows
+        f = SymFunc(left, {lam: rng.randint(-3, 3) for d in range(4) for lam in partitions_of(d)})
+        g = SymFunc(right, {lam: rng.randint(-3, 3) for d in range(4) for lam in partitions_of(d)})
+        ints = [{lam: c.terms[(0, 0)] for lam, c in h.convert("m").coeffs.items()} for h in (f, g)]
+        want = symfunc._m_mul(*ints)
+        assert {lam: c.terms for lam, c in (f * g).convert("m").coeffs.items()} == {lam: {(0, 0): v} for lam, v in want.items()}
+
+
+def test_scale_is_the_term_wise_product():
+    rng = random.Random(29)
+    for basis in BASES:
+        f = random_laurent_symfunc(rng, basis)
+        for v in (0, 3, -1, Fraction(2, 3), Fraction(-1, 2), CoeffQT.zero(), random_laurent(rng), Q - 1):
+            got = f.scale(v)
+            assert got.basis == basis
+            assert got.coeffs == {lam: c * v for lam, c in f.coeffs.items() if not (c * v).is_zero()}, (basis, v)
+            assert_canonical(got)
+
+
 def test_add_and_sub_check_the_basis_and_return_canonical_results():
     f = SymFunc("e", {(2,): CoeffQT({(1, 0): Fraction(1, 2), (0, 0): 3}), (1, 1): Q})
     g = SymFunc("e", {(2,): CoeffQT({(1, 0): Fraction(1, 2)}), (1, 1): Q, (1,): -1})
