@@ -65,6 +65,13 @@ from .symfunc import SymFunc
 AREA_BOUND = 16
 
 _CHROMATIC_CACHE: dict[str, SymFunc] = memo.table("_CHROMATIC_CACHE")
+# the orientation DP's moves: step -> window state -> moves (see `_window_moves`)
+_WINDOW_MOVES: dict[tuple, dict[tuple, tuple]] = memo.table("_WINDOW_MOVES")
+# every window state those moves lead to, one object per value, so moves share them
+_WINDOW_STATES: dict[tuple, tuple] = memo.table("_WINDOW_STATES")
+_ROOT = ((), (), ())  # the window state before any vertex is placed
+# the coloring DP's vertex lists: size -> coloured set -> the uncoloured vertices
+_UNCOLOURED_VERTICES: dict[int, tuple[tuple[int, ...], ...]] = memo.table("_UNCOLOURED_VERTICES")
 
 
 Coloring = tuple[int, ...]
@@ -169,6 +176,15 @@ def _ascent_tally(lower, content: tuple[int, ...]) -> dict[int, int]:
     return tally
 
 
+def _uncoloured_vertices(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each set of vertices 0..n-1, as a bitmask, the vertices outside it, in order."""
+    cached = _UNCOLOURED_VERTICES.get(n)
+    if cached is None:
+        cached = tuple(tuple(v for v in range(n) if not s >> v & 1) for s in range(1 << n))
+        _UNCOLOURED_VERTICES[n] = cached
+    return cached
+
+
 def _m_expansion(lower, n: int) -> SymFunc:
     """The coloring sum in the m-basis: m_lam collects the colorings of content lam.
 
@@ -220,6 +236,10 @@ def _m_expansion(lower, n: int) -> SymFunc:
     # into[m][k]: the bit offset of block k among the partitions of m + k, where
     # a class of size k lands when m vertices are coloured
     into = [[0] + [start[m + k][k] for k in range(1, n - m + 1)] for m in range(n + 1)]
+    # offsets[m]: where the slots that a class of size 1, 2, ... may follow start
+    offsets = [start[m][1 : n + 1 - m] for m in range(n + 1)]
+    verts = [(1 << v, need[v], rise[v], clash[v]) for v in range(n)]
+    uncoloured = _uncoloured_vertices(n)
     everyone = (1 << n) - 1
     # coloured set -> its int, 0 until a class reaches it; a class is nonempty,
     # so the coloured set grows as an int and one ascending pass visits every
@@ -232,20 +252,29 @@ def _m_expansion(lower, n: int) -> SymFunc:
             continue
         table[coloured] = 0
         m = coloured.bit_count()
+        lands = into[m]
         suffix = [0]  # suffix[k]: the slots that a class of size k may follow
-        for offset in start[m][1 : n + 1 - m]:
+        for offset in offsets[m]:
             tail = value >> offset
             if not tail:
                 break
             suffix.append(tail)
+        if len(suffix) == 2:
+            # every partition so far ends in a part 1, so only singletons follow
+            tail, at = suffix[1], lands[1]
+            for v in uncoloured[coloured]:
+                bit, before, below, _ = verts[v]
+                if not before & ~coloured:
+                    table[coloured | bit] += tail << (at + width * (below & coloured).bit_count())
+            continue
         cap = len(suffix) - 1
         classes = [(0, 0, 0)]  # (members, size, width * ascents)
-        for v in range(n):
-            if coloured >> v & 1 or need[v] & ~coloured:
+        for v in uncoloured[coloured]:
+            bit, before, below, apart = verts[v]
+            if before & ~coloured:
                 continue
-            bit, gain = 1 << v, width * (rise[v] & coloured).bit_count()
-            classes += [(s | bit, k + 1, a + gain) for (s, k, a) in classes if k < cap and not s & clash[v]]
-        lands = into[m]
+            gain = width * (below & coloured).bit_count()
+            classes += [(s | bit, k + 1, a + gain) for (s, k, a) in classes if k < cap and not s & apart]
         for members, k, shift in classes[1:]:
             table[members | coloured] += suffix[k] << (shift + lands[k])
     # the last state visited colours every vertex (one vertex per class, in
@@ -370,6 +399,44 @@ def lambda_theta(g: DecoratedGraph, theta: Orientation) -> tuple[int, ...]:
     return _block_sizes(_theta_labels(g, theta))
 
 
+def _window_moves(state: tuple, step: tuple[int, bool, int]) -> tuple:
+    """The moves of the orientation DP from one window state at one vertex step.
+
+    The state is (window labels as ranks, open block sizes by rank, closed
+    block sizes, sorted decreasingly); the step of vertex v is (top[v] - v,
+    whether the longest upper edge of v is strict, top[v-1] - v + 1), the
+    window length before v, its strict flag and the window length after v.
+    A move is (next state, c, b, first): its choices of up-edges number
+    (1+q)^c when `first` (v keeps its strict label, or its own), and
+    ((1+q)^c - 1)(1+q)^b otherwise (at least one of the c edges to the
+    label it takes points up, and the b edges to lower labels are free).
+    """
+    labels, sizes, closed = state
+    span, strict, keep = step
+    reached = labels[: span - 1] if strict else labels  # the labels its free up-edges reach
+    low = labels[span - 1] if strict else -1
+    # v keeps `low` (its strict label, or -1 for v itself) when every up-edge it
+    # picks reaches no higher label; it takes r > low when at least one edge to r
+    # points up, whatever the edges to lower labels do.
+    choices = [(low, sum(1 for r in reached if r <= low), 0, True)]
+    for r in sorted(set(reached)):
+        if r > low:
+            choices.append((r, reached.count(r), sum(1 for s in reached if s < r), False))
+    moves = []
+    for label, c, b, first in choices:
+        # a new block takes rank 0 and lifts the others by one
+        new = label < 0
+        window = ((0,) + tuple(r + 1 for r in labels) if new else (label,) + labels)[:keep]
+        alive = sorted(set(window))
+        rank = {r: i for i, r in enumerate(alive)}
+        grown = (1,) + sizes if new else sizes[:label] + (sizes[label] + 1,) + sizes[label + 1 :]
+        dead = [grown[r] for r in range(len(grown)) if r not in rank]
+        shut = tuple(sorted(closed + tuple(dead), reverse=True)) if dead else closed
+        target = (tuple(rank[r] for r in window), tuple(grown[r] for r in alive), shut)
+        moves.append((_WINDOW_STATES.setdefault(target, target), c, b, first))
+    return tuple(moves)
+
+
 def _orientation_tally(path: SchroederPath) -> dict[tuple[int, ...], CoeffQT]:
     """For each partition lam, the orientations with lambda(theta) = lam as a polynomial in q.
 
@@ -383,59 +450,44 @@ def _orientation_tally(path: SchroederPath) -> dict[tuple[int, ...], CoeffQT]:
     labels name, and the sorted sizes of the blocks already closed.
 
     Vertex v chooses which of its non-strict upper edges point up, one
-    ascent each; its strict upper edges always do.  Its label is the largest
-    label it reaches, or v itself (below every label in the window) when it
-    reaches none, and v joins that label's block.  A block closes when its
-    label leaves the window, since no vertex below can reach it any more.
-    No count exceeds 2**area, which sets the digit width of the tallies
-    (see `CoeffQT.from_packed`, which decodes them).
+    ascent each; its strict upper edge, the longest one when there is one,
+    always does.  Its label is the largest label it reaches, or v itself
+    (below every label in the window) when it reaches none, and v joins
+    that label's block.  A block closes when its label leaves the window,
+    since no vertex below can reach it any more.
+
+    The moves out of a state read only the state and the step of v (see
+    `_window_moves`), never the path, so every path shares them: the table
+    `_WINDOW_MOVES` maps each step, then each state, to its moves, built on
+    the first visit.  It holds tuples of ints and bools only, and no value;
+    its inserts are idempotent, and it grows with the sizes swept.  A path
+    then costs one lookup per state and step, and one multiply-add per
+    move.  No count exceeds 2**area, which sets the digit width of the
+    tallies (see `CoeffQT.from_packed`, which decodes them).
     """
-    g = graph(path)
-    n = g.n
-    top = list(range(n + 1))  # top[v]: the highest neighbour of v, or v; top[0] = 0
-    for (x, y) in g.edges:
-        top[x] = max(top[x], y)
-    # window positions (vertex v+1+i at position i) of the upper edges of v
-    forced = [[y - x - 1 for (x, y) in g.strict if x == v] for v in range(n + 1)]
-    free = [[i for i in range(top[v] - v) if i not in forced[v]] for v in range(n + 1)]
-    width = len(g.edges) - len(g.strict) + 1
-    up = 1 + (1 << width)  # the value of 1 + q: one non-strict edge, down or up
-    # window labels -> {(open block sizes by rank, closed block sizes): ascent tally}
-    states: dict[tuple[int, ...], dict[tuple, int]] = {(): {((), ()): 1}}
+    tops = path.column_tops()
+    n = path.size
+    width = sum(top - c - strict for c, (top, strict) in tops.items()) + 1
+    grow = [1]  # grow[k] = (1+q)^k at q = 2**width: k non-strict edges, each down or up
+    for _ in range(n):
+        grow.append(grow[-1] * (1 + (1 << width)))
+    states = {_ROOT: 1}
     for v in range(n, 0, -1):
-        keep = top[v - 1] - v + 1  # the next window is v..top[v-1]
-        following: dict[tuple[int, ...], dict[tuple, int]] = {}
-        for labels, blocks in states.items():
-            reached = [labels[i] for i in free[v]]
-            low = max((labels[i] for i in forced[v]), default=-1)
-            # label of v -> the tally of the choices of up-edges that give it.  v keeps
-            # `low` (its strict label, or -1 for v itself) when every up-edge it
-            # picks reaches no higher label; it takes r > low when at least one
-            # edge to r points up, whatever the edges to lower labels do.
-            choices = {low: up ** sum(1 for r in reached if r <= low)}
-            for r in set(reached):
-                if r > low:
-                    below = sum(1 for s in reached if s < r)
-                    choices[r] = (up ** reached.count(r) - 1) * up ** below
-            for label, poly in choices.items():
-                # a new block takes rank 0 and lifts the others by one
-                new = label < 0
-                window = ((0,) + tuple(r + 1 for r in labels) if new else (label,) + labels)[:keep]
-                alive = sorted(set(window))
-                rank = {r: i for i, r in enumerate(alive)}
-                dead = [r for r in range(len(set(labels)) + new) if r not in rank]
-                target = following.setdefault(tuple(rank[r] for r in window), {})
-                for (sizes, closed), value in blocks.items():
-                    if new:
-                        sizes = (1,) + sizes
-                    else:
-                        sizes = sizes[:label] + (sizes[label] + 1,) + sizes[label + 1 :]
-                    if dead:
-                        closed = tuple(sorted(closed + tuple(sizes[r] for r in dead), reverse=True))
-                    state = (tuple(sizes[r] for r in alive), closed)
-                    target[state] = target.get(state, 0) + value * poly
+        top, strict = tops[v]
+        step = (top - v, strict, (tops[v - 1][0] if v > 1 else 0) - v + 1)
+        moves_at = _WINDOW_MOVES.get(step)
+        if moves_at is None:
+            moves_at = _WINDOW_MOVES.setdefault(step, {})
+        following: dict[tuple, int] = {}
+        get = following.get
+        for state, value in states.items():
+            moves = moves_at.get(state)
+            if moves is None:
+                moves = moves_at[state] = _window_moves(state, step)
+            for target, c, b, first in moves:
+                following[target] = get(target, 0) + value * (grow[c] if first else (grow[c] - 1) * grow[b])
         states = following
-    return {closed: CoeffQT.from_packed(value, width) for (_, closed), value in states[()].items()}
+    return {closed: CoeffQT.from_packed(value, width) for (_, _, closed), value in states.items()}
 
 
 def orientation_e_expansion(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Mapping, Union
 
 from . import memo
 from .coeffring import ZERO, CoeffQT, Exponents, Rational, _div
-from .errors import LLTError, NotDivisible
+from .errors import InvalidArgument, LLTError, NotDivisible
 from .partitions import (
     DEGREE_BOUND,
     Partition,
@@ -280,7 +280,9 @@ def linear_combination(basis: str, terms: Iterable[tuple[ScalarLike, Vector]]) -
 
     A vector is a SymFunc, which must be in `basis` (LLTError otherwise),
     or a plain {partition: entry} map read in `basis`, with `CoeffQT` or
-    rational entries (a transition row).  The sum is accumulated on raw
+    rational entries (a transition row).  A scalar or a plain entry that is
+    not an int, a Fraction or a `CoeffQT` (a float, say) raises
+    InvalidArgument: the sum is exact or it is refused.  The sum is accumulated on raw
     {partition: {(q, t): coefficient}} maps and each `CoeffQT` of the
     result is built once, at the end, in canonical form: no zero term, no
     zero partition, an integral coefficient stored as an `int`.
@@ -291,7 +293,12 @@ def linear_combination(basis: str, terms: Iterable[tuple[ScalarLike, Vector]]) -
             if vector.basis != basis:
                 raise LLTError(f"basis mismatch: {basis} vs {vector.basis}; convert explicitly")
             vector = vector.coeffs
-        s_terms = scalar.terms if scalar.__class__ is CoeffQT else {(0, 0): scalar}
+        if scalar.__class__ is CoeffQT:
+            s_terms = scalar.terms
+        elif isinstance(scalar, (int, Fraction)):
+            s_terms = {(0, 0): scalar}
+        else:
+            raise InvalidArgument(f"scalar {scalar!r} is not an int, a Fraction or a CoeffQT")
         # a constant scalar leaves every exponent where it is
         constant = s_terms.get((0, 0)) if len(s_terms) == 1 else None
         for lam, v in vector.items():
@@ -299,6 +306,8 @@ def linear_combination(basis: str, terms: Iterable[tuple[ScalarLike, Vector]]) -
             if row is None:
                 row = acc[lam] = {}
             if v.__class__ is not CoeffQT:
+                if v.__class__ is not int and not isinstance(v, (int, Fraction)):
+                    raise InvalidArgument(f"entry {v!r} at {lam} is not an int, a Fraction or a CoeffQT")
                 for k, a in s_terms.items():
                     row[k] = row.get(k, 0) + a * v
             elif constant is not None:

@@ -1,8 +1,11 @@
 import itertools
+import random
 import sys
+import threading
 
 import pytest
 
+from lltpaths import clear_caches
 from lltpaths.coeffring import CoeffQT
 from lltpaths.errors import BoundExceeded, HasDiagonal, InvalidArgument, InvalidColoring
 from lltpaths.llt import (
@@ -383,6 +386,39 @@ def test_orientation_sum_matches_the_mask_loop():
     for n in range(1, 7):
         for p in enumerate_paths(n):
             assert orientation_e_expansion(p) == _orientation_mask_loop(p), p.word
+
+
+def test_the_shared_window_moves_cannot_change_a_value():
+    # every path shares the orientation DP's move table, so a value must not
+    # depend on what filled it: cold, after a larger shuffled sweep, or while
+    # another thread fills it from cold
+    paths = [p for n in range(1, 7) for p in enumerate_paths(n)]
+    want = [_orientation_mask_loop(p) for p in paths]
+    clear_caches()
+    assert [orientation_e_expansion(p) for p in paths] == want
+    clear_caches()
+    larger = [p for n in range(1, 8) for p in enumerate_paths(n)]
+    random.Random(21).shuffle(larger)
+    for p in larger:
+        orientation_e_expansion(p)
+    assert [orientation_e_expansion(p) for p in paths] == want
+    clear_caches()
+    got = [None, None]
+
+    def sweep(i):
+        got[i] = [orientation_e_expansion(p) for p in paths]
+
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so their inserts interleave
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want, want]
 
 
 def test_orientation_route_is_bounded_by_size():

@@ -11,13 +11,16 @@ from lltpaths.symfunc import SymFunc
 
 # every module-level table, by module
 TABLES = {
-    "llt": ("_CHROMATIC_CACHE",),
+    "llt": ("_CHROMATIC_CACHE", "_WINDOW_MOVES", "_WINDOW_STATES", "_UNCOLOURED_VERTICES"),
     "relations": ("_RECURSION_CACHE", "_RECURSION_COEFFS", "_PACKED_VALUES", "_BOUNCE_WALKS"),
     "symfunc": ("_M_MUL_CACHE", "_TRANSITION_CACHE"),
     "partitions": ("_PARTITIONS_CACHE", "_SLOTS_CACHE", "_KOSTKA_CACHE"),
 }
-# the tables of combinatorial data, keyed by degree or by partitions
-COMBINATORIAL = {"_PARTITIONS_CACHE", "_SLOTS_CACHE", "_TRANSITION_CACHE", "_KOSTKA_CACHE", "_M_MUL_CACHE"}
+# the tables of combinatorial data, keyed by degree, by partitions or by window states
+COMBINATORIAL = {
+    "_PARTITIONS_CACHE", "_SLOTS_CACHE", "_TRANSITION_CACHE", "_KOSTKA_CACHE", "_M_MUL_CACHE",
+    "_WINDOW_MOVES", "_WINDOW_STATES", "_UNCOLOURED_VERTICES",
+}
 
 
 def _tables() -> dict[str, dict]:

@@ -7,7 +7,7 @@ import pytest
 
 from lltpaths import symfunc
 from lltpaths.coeffring import CoeffQT
-from lltpaths.errors import LLTError, NotDivisible
+from lltpaths.errors import InvalidArgument, LLTError, NotDivisible
 from lltpaths.llt import llt
 from lltpaths.partitions import kostka, partitions_of
 from lltpaths.schroeder import enumerate_paths
@@ -247,6 +247,19 @@ def test_linear_combination_reads_plain_rows_and_checks_the_basis():
     assert_canonical(got)
     with pytest.raises(LLTError):
         linear_combination("m", [(1, SymFunc.basis_element("e", (2,)))])
+
+
+def test_linear_combination_refuses_a_float_scalar_or_entry():
+    e1 = SymFunc("e", {(1,): 1})
+    with pytest.raises(InvalidArgument):
+        linear_combination("e", [(0.5, e1)])
+    with pytest.raises(InvalidArgument):
+        linear_combination("m", [(1, {(2,): 0.1})])
+    with pytest.raises(InvalidArgument):
+        linear_combination("m", [(0.0, {(2,): 1})])  # a zero float too, not a silent zero
+    # scale reads its scalar exactly first, so 0.5 is the rational 1/2
+    assert e1.scale(0.5) == SymFunc("e", {(1,): Fraction(1, 2)})
+    assert e1.scale(0.5).coeffs[(1,)].terms == {(0, 0): Fraction(1, 2)}
 
 
 def test_m_products_equal_the_e_concatenation_and_the_integer_convolution():
