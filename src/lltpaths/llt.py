@@ -35,9 +35,13 @@ reachable vertex of every vertex under one mask, and ``hrv`` and
 2^area orientations without visiting them: ``_orientation_tally`` places
 the vertices from n down to 1 and keeps only the labels of the window of
 vertices that lower ones can still reach, with the sizes of the blocks.
-Substituting q -> q-1 in the orientation sum recovers the coloring sum,
-which is the identity the verification suites exercise on exhaustive
-small instances.
+The moves out of such a window state depend only on the state and on the
+step of the vertex placed (its window length, whether its longest upper
+edge is strict, and the next window length), not on the path, so all
+paths walk one shared automaton: ``_WINDOW_MOVES`` maps step and state to
+the moves, built on first use by ``_window_moves``.  Substituting q -> q-1
+in the orientation sum recovers the coloring sum, which is the identity
+the verification suites exercise on exhaustive small instances.
 
 All enumerations tally integer counts first and only then build exact
 coefficients, so the hot loops never touch Fraction arithmetic.  ``llt``
@@ -45,8 +49,14 @@ and ``orientation_e_expansion`` keep no value: each call runs its DP, and
 a caller that reads a value again keeps it (the relation suites keep one
 packed int per word).  ``chromatic`` memoizes by path word, because the
 chromatic suite multiplies the values of every smaller size.  Both DPs
-decode their packed tallies with `CoeffQT.from_packed` as they return and
-touch no module state, so once a caller drops a value nothing holds it.
+decode their packed tallies with `CoeffQT.from_packed` as they return, so
+once a caller drops a value nothing holds it.  The module state they read
+is combinatorial: the orientation DP's window moves (`_WINDOW_MOVES`, keyed
+by step and window state, with `_WINDOW_STATES` holding one object per
+state they name) and the coloring DP's lists of uncoloured vertices
+(`_UNCOLOURED_VERTICES`, keyed by size).  These tables hold tuples of ints
+and bools, never a coefficient or a path value; every insert is
+idempotent, and they grow with the sizes swept.
 """
 
 from __future__ import annotations
@@ -213,6 +223,11 @@ def _m_expansion(lower, n: int) -> SymFunc:
     length is the digit width, and no coloring has more ascents than the
     graph has non-strict edges, so a slot of that many digits plus one
     holds any tally.
+
+    A state reads only its uncoloured vertices (`_uncoloured_vertices`).
+    When every partition it holds ends in a part 1, only singletons may
+    follow, and the state adds one term per ready vertex without building
+    the list of classes.
     """
     need = [0] * n  # strict lower neighbours, coloured lower than v
     rise = [0] * n  # non-strict lower neighbours, an ascent each when coloured lower

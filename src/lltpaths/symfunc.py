@@ -280,12 +280,12 @@ def linear_combination(basis: str, terms: Iterable[tuple[ScalarLike, Vector]]) -
 
     A vector is a SymFunc, which must be in `basis` (LLTError otherwise),
     or a plain {partition: entry} map read in `basis`, with `CoeffQT` or
-    rational entries (a transition row).  A scalar or a plain entry that is
-    not an int, a Fraction or a `CoeffQT` (a float, say) raises
-    InvalidArgument: the sum is exact or it is refused.  The sum is accumulated on raw
+    rational entries (a transition row).  The sum is accumulated on raw
     {partition: {(q, t): coefficient}} maps and each `CoeffQT` of the
     result is built once, at the end, in canonical form: no zero term, no
-    zero partition, an integral coefficient stored as an `int`.
+    zero partition, an integral coefficient stored as an `int`.  A scalar
+    or a plain entry that is not an int, a Fraction or a `CoeffQT` (a
+    float, say) raises InvalidArgument, so the sum stays exact.
     """
     acc: dict[Partition, dict[Exponents, Rational]] = {}
     for scalar, vector in terms:

@@ -403,22 +403,23 @@ def test_the_shared_window_moves_cannot_change_a_value():
         orientation_e_expansion(p)
     assert [orientation_e_expansion(p) for p in paths] == want
     clear_caches()
-    got = [None, None]
+    got = [None] * 4  # more threads than a CI runner has cores
 
     def sweep(i):
         got[i] = [orientation_e_expansion(p) for p in paths]
 
-    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(2)]
+    threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(got))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so their inserts interleave
     try:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
-    assert got == [want, want]
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * len(got)
 
 
 def test_orientation_route_is_bounded_by_size():
