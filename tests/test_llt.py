@@ -391,7 +391,7 @@ def test_orientation_sum_matches_the_mask_loop():
 def test_the_shared_window_moves_cannot_change_a_value():
     # every path shares the orientation DP's move table, so a value must not
     # depend on what filled it: cold, after a larger shuffled sweep, or while
-    # another thread fills it from cold
+    # other threads fill it from cold
     paths = [p for n in range(1, 7) for p in enumerate_paths(n)]
     want = [_orientation_mask_loop(p) for p in paths]
     clear_caches()
@@ -403,7 +403,7 @@ def test_the_shared_window_moves_cannot_change_a_value():
         orientation_e_expansion(p)
     assert [orientation_e_expansion(p) for p in paths] == want
     clear_caches()
-    got = [None] * 4  # more threads than a CI runner has cores
+    got = [None] * 4
 
     def sweep(i):
         got[i] = [orientation_e_expansion(p) for p in paths]
