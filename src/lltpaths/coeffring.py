@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator, Mapping, Tuple, Union
 
-from .errors import NegativeExponentShift, NotDivisible
+from .errors import InvalidArgument, NegativeExponentShift, NotDivisible
 
 Exponents = Tuple[int, int]
 Rational = Union[int, Fraction]
@@ -229,7 +229,7 @@ class CoeffQT:
 
     def __pow__(self, n: int) -> "CoeffQT":
         if n < 0:
-            raise ValueError("negative powers are not defined in the Laurent subring")
+            raise InvalidArgument("negative powers are not defined in the Laurent subring")
         out = CoeffQT.one()
         base = self
         while n:

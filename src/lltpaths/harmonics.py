@@ -33,13 +33,14 @@ def nabla_e(n: int, bound: int = SIZE_BOUND) -> SymFunc:
         raise InvalidArgument(f"nabla_e needs n >= 0, got {n}")
     if n > bound:
         raise BoundExceeded(f"nabla_e({n}) exceeds bound {bound}")
+    # conversion is linear and exact, so sum in m and convert the sum once
     return linear_combination(
-        "e",
+        "m",
         [
-            (CoeffQT.t(haglund_bounce(path)), llt(dyck_star(path), bound).convert("e"))
+            (CoeffQT.t(haglund_bounce(path)), llt(dyck_star(path), bound))
             for path in enumerate_paths(n, dyck_only=True, bound=bound)
         ],
-    )
+    ).convert("e")
 
 
 def nabla_p(n: int, bound: int = SIZE_BOUND) -> SymFunc:
@@ -53,7 +54,7 @@ def nabla_p(n: int, bound: int = SIZE_BOUND) -> SymFunc:
     for alpha in weak_compositions(n, n):
         path, area_alpha, below = nu_alpha(alpha)
         weights[path.word] = weights.get(path.word, ZERO) + CoeffQT.monomial(below, area_alpha)
-    return linear_combination("s", [(weight, llt(parse(word), bound).convert("s")) for word, weight in weights.items()])
+    return linear_combination("m", [(weight, llt(parse(word), bound)) for word, weight in weights.items()]).convert("s")
 
 
 def hall_littlewood(mu: tuple[int, ...], bound: int = SIZE_BOUND) -> SymFunc:

@@ -11,6 +11,10 @@ prunes by the rule that each edge to a lower neighbour u carries:
 * FREE: any colour, an ascent when it rises;
 * PROPER: the colour must differ, an ascent when it rises.
 
+The rules are this module's own: every coloring entry point takes its
+lists of (u, rule) from ``_lower_neighbors``, which reads the path's column
+tops, not its ``DecoratedGraph`` (that serves the per-object functions).
+
 A content vector caps the number of vertices of each colour, and a leaf
 callback decides what each finished coloring contributes.
 ``content_coefficient``, ``coloring_weight_split`` and the permutation
@@ -67,9 +71,9 @@ from typing import Callable
 
 from . import memo
 from .coeffring import CoeffQT
-from .errors import BoundExceeded, HasDiagonal, InvalidArgument, InvalidColoring
+from .errors import BoundExceeded, HasDiagonal, InvalidArgument, InvalidColoring, SizeMismatch
 from .partitions import partition_slots, partitions_of
-from .schroeder import SIZE_BOUND, DecoratedGraph, SchroederPath, graph
+from .schroeder import SIZE_BOUND, DecoratedGraph, SchroederPath, area, graph
 from .symfunc import SymFunc
 
 AREA_BOUND = 16
@@ -87,11 +91,23 @@ _UNCOLOURED_VERTICES: dict[int, tuple[tuple[int, ...], ...]] = memo.table("_UNCO
 Coloring = tuple[int, ...]
 
 # Edge rules of the coloring kernel, for an edge from a lower neighbour u to v.
-# FREE and STRICT are the is_strict flags of DecoratedGraph.lower_neighbors(),
-# so its lists feed the kernel unchanged.
-FREE = False  # any colours; an ascent when kappa(u) < kappa(v)
-STRICT = True  # kappa(u) < kappa(v) required; never an ascent
+FREE = 0  # any colours; an ascent when kappa(u) < kappa(v)
+STRICT = 1  # kappa(u) < kappa(v) required; never an ascent
 PROPER = 2  # kappa(u) != kappa(v) required; an ascent when kappa(u) < kappa(v)
+
+
+def _lower_neighbors(path: SchroederPath, proper: bool = False) -> list[list[tuple[int, int]]]:
+    """For each vertex v of the graph of the path, (u, rule) for its neighbours u < v, in order.
+
+    Column u has edges to u+1..top[u]; the one to top[u] is STRICT when the
+    column's step is diagonal, every other is FREE, and with `proper` (for
+    chromatic functions, of Dyck paths) every edge is PROPER.
+    """
+    out: list[list[tuple[int, int]]] = [[] for _ in range(path.size + 1)]
+    for u, (top, diagonal) in path.column_tops().items():
+        for v in range(u + 1, top + 1):
+            out[v].append((u, PROPER if proper else STRICT if diagonal and v == top else FREE))
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,8 +141,10 @@ def asc_coloring(g: DecoratedGraph, kappa: Coloring) -> int:
 
 def swap_coloring(g: DecoratedGraph, kappa: Coloring, x: int, y: int) -> Coloring:
     """Exchange the colors of the adjacent vertices x and y = x+1, 1 <= x < n."""
+    if len(kappa) != g.n:
+        raise InvalidColoring(f"need {g.n} colors, got {len(kappa)}")
     if y != x + 1:
-        raise ValueError("the swap map exchanges adjacent vertices only")
+        raise InvalidArgument("the swap map exchanges adjacent vertices only")
     if not 1 <= x < g.n:
         raise InvalidArgument(f"the swap map needs 1 <= x < {g.n}, got x = {x}")
     out = list(kappa)
@@ -173,17 +191,6 @@ def coloring_backtrack(
                 remaining[color - 1] += 1
 
     rec(1, 0)
-
-
-def _ascent_tally(lower, content: tuple[int, ...]) -> dict[int, int]:
-    """Number of colorings of the given content, by ascent number."""
-    tally: dict[int, int] = {}
-
-    def leaf(colors, asc):
-        tally[asc] = tally.get(asc, 0) + 1
-
-    coloring_backtrack(lower, content, leaf)
-    return tally
 
 
 def _uncoloured_vertices(n: int) -> tuple[tuple[int, ...], ...]:
@@ -312,28 +319,39 @@ def llt(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     n = path.size
     if n > bound:
         raise BoundExceeded(f"llt on size {n} exceeds bound {bound}")
-    return _m_expansion(graph(path).lower_neighbors(), n)
+    return _m_expansion(_lower_neighbors(path), n)
 
 
 def content_coefficient(path: SchroederPath, content: tuple[int, ...], bound: int = SIZE_BOUND) -> CoeffQT:
     """Coefficient of the monomial x_1^c1 x_2^c2 ... in the coloring sum.
 
-    Accepts arbitrary compositions, which makes the symmetry of the
-    coloring sum directly testable.  Runs the backtrack, so a size above
-    `bound` is refused before any work.
+    Accepts arbitrary weak compositions of the path's size, which makes the
+    symmetry of the coloring sum directly testable.  Runs the backtrack, so
+    a size above `bound` is refused before any work, and so is a content
+    with a part that is not a nonnegative int, or of another size.
     """
     if path.size > bound:
         raise BoundExceeded(f"content_coefficient on size {path.size} exceeds bound {bound}")
-    tally = _ascent_tally(graph(path).lower_neighbors(), content)
+    if any(not isinstance(c, int) or c < 0 for c in content):
+        raise InvalidArgument(f"content {content} has a part that is not a nonnegative int")
+    if sum(content) != path.size:
+        raise SizeMismatch(f"content {content} does not sum to the size {path.size} of {path.word!r}")
+    tally: dict[int, int] = {}
+
+    def leaf(colors, asc):
+        tally[asc] = tally.get(asc, 0) + 1
+
+    coloring_backtrack(_lower_neighbors(path), content, leaf)
     return CoeffQT({(a, 0): c for a, c in tally.items()})
 
 
-def orientations(path: SchroederPath, area_bound: int = AREA_BOUND) -> list[Orientation]:
-    """All orientations of the graph of P with strict edges directed upward."""
+def orientations(path: SchroederPath) -> list[Orientation]:
+    """All 2**area orientations of the graph of P with strict edges directed upward."""
+    a = area(path)
+    if a > AREA_BOUND:
+        raise BoundExceeded(f"area {a} exceeds bound {AREA_BOUND}")
     g = graph(path)
-    free = g.nonstrict_edges()
-    if len(free) > area_bound:
-        raise BoundExceeded(f"area {len(free)} exceeds bound {area_bound}")
+    free = _upward_edges(g)[0]
     base = [(x, y) for (x, y) in sorted(g.strict)]
     out = []
     for mask in range(1 << len(free)):
@@ -354,10 +372,10 @@ def asc_orientation(g: DecoratedGraph, theta: Orientation) -> int:
 def _upward_edges(g: DecoratedGraph):
     """The non-strict edges, and per vertex its strict heads and (bit, head) non-strict pairs.
 
-    Bit i of an orientation mask stands for the i-th non-strict edge, set
-    when that edge points upward (is ascending).
+    Bit i of an orientation mask stands for the i-th non-strict edge in
+    sorted order, set when that edge points upward (is ascending).
     """
-    free = g.nonstrict_edges()
+    free = sorted(g.edges - g.strict)
     strict_up: list[list[int]] = [[] for _ in range(g.n + 1)]
     for (x, y) in g.strict:
         strict_up[x].append(y)
@@ -482,7 +500,7 @@ def _orientation_tally(path: SchroederPath) -> dict[tuple[int, ...], CoeffQT]:
     """
     tops = path.column_tops()
     n = path.size
-    width = sum(top - c - strict for c, (top, strict) in tops.items()) + 1
+    width = area(path) + 1
     grow = [1]  # grow[k] = (1+q)^k at q = 2**width: k non-strict edges, each down or up
     for _ in range(n):
         grow.append(grow[-1] * (1 + (1 << width)))
@@ -536,8 +554,7 @@ def chromatic(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     cached = _CHROMATIC_CACHE.get(path.word)
     if cached is not None:
         return cached
-    lower = [[(u, PROPER) for (u, _) in nbrs] for nbrs in graph(path).lower_neighbors()]
-    out = _m_expansion(lower, n)
+    out = _m_expansion(_lower_neighbors(path, proper=True), n)
     _CHROMATIC_CACHE[path.word] = out
     return out
 
@@ -571,5 +588,5 @@ def coloring_weight_split(path: SchroederPath, x: int, bound: int = SIZE_BOUND):
         inner = target.setdefault(tuple(content), {})
         inner[asc] = inner.get(asc, 0) + 1
 
-    coloring_backtrack(graph(path).lower_neighbors(), (n,) * n, leaf)
+    coloring_backtrack(_lower_neighbors(path), (n,) * n, leaf)
     return lower, upper

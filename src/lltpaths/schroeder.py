@@ -128,17 +128,6 @@ class DecoratedGraph:
             for y in range(x + 1, z):
                 assert (x, y) in self.edges and (y, z) in self.edges, "not unit-interval"
 
-    def lower_neighbors(self) -> list[list[tuple[int, bool]]]:
-        """For each vertex v, the list of (u, is_strict) with u < v an edge."""
-        out: list[list[tuple[int, bool]]] = [[] for _ in range(self.n + 1)]
-        for (x, y) in sorted(self.edges):
-            out[y].append((x, (x, y) in self.strict))
-        return out
-
-    def nonstrict_edges(self) -> list[tuple[int, int]]:
-        """Non-strict edges in column-major order (sorted by (x, y))."""
-        return sorted(self.edges - self.strict)
-
     def to_obj(self) -> dict:
         return {
             "n": self.n,
@@ -230,8 +219,7 @@ def graph(path: SchroederPath) -> DecoratedGraph:
 
 def area(path: SchroederPath) -> int:
     """Number of non-strict edges of the graph of the path."""
-    g = graph(path)
-    return len(g.edges) - len(g.strict)
+    return sum(top - c - strict for c, (top, strict) in path.column_tops().items())
 
 
 def bounce_at(path: SchroederPath, point: Point) -> BounceData:
@@ -250,7 +238,7 @@ def bounce_at(path: SchroederPath, point: Point) -> BounceData:
         raise PointNotOnPath(f"{point} is not on {path.word!r}")
     x, z = point
     if z <= x or x < 1:
-        raise ValueError(f"bounce start {point} must satisfy 1 <= x < z")
+        raise InvalidArgument(f"bounce start {point} must satisfy 1 <= x < z")
     word = path.word
     length = len(word)
     partition = [z, x]

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from .coeffring import CoeffQT
 from .errors import BoundExceeded
-from .llt import coloring_backtrack, llt_via_orientations
+from .llt import _lower_neighbors, coloring_backtrack, llt_via_orientations
 from .partitions import conjugate, kostka, partitions_of
-from .schroeder import SIZE_BOUND, SchroederPath, graph
+from .schroeder import SIZE_BOUND, SchroederPath
 from .symfunc import SymFunc, linear_combination, straighten_schur
 
 
@@ -35,7 +35,7 @@ def _permutations_with_ascents(path: SchroederPath) -> list[tuple[tuple[int, ...
     def leaf(sigma, asc):
         out.append((tuple(sigma[1:]), asc))
 
-    coloring_backtrack(graph(path).lower_neighbors(), (1,) * path.size, leaf)
+    coloring_backtrack(_lower_neighbors(path), (1,) * path.size, leaf)
     return out
 
 

@@ -74,14 +74,14 @@ class SymFunc:
 
     def __init__(self, basis: str, coeffs: Mapping[Partition, ScalarLike] | None = None):
         if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}")
+            raise InvalidArgument(f"unknown basis {basis!r}")
         self.basis = basis
         clean: dict[Partition, CoeffQT] = {}
         if coeffs:
             for lam, v in coeffs.items():
                 lam = tuple(lam)
                 if not is_partition(lam):
-                    raise ValueError(f"{lam} is not a partition")
+                    raise InvalidArgument(f"{lam} is not a partition")
                 c = _coeff(v)
                 if not c.is_zero():
                     clean[lam] = c
@@ -163,7 +163,7 @@ class SymFunc:
 
     def convert(self, target: str) -> "SymFunc":
         if target not in BASES:
-            raise ValueError(f"unknown basis {target!r}")
+            raise InvalidArgument(f"unknown basis {target!r}")
         if target == self.basis:
             return self
         m = self if self.basis == "m" else _to_m(self)

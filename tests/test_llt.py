@@ -7,12 +7,15 @@ import pytest
 
 from lltpaths import clear_caches
 from lltpaths.coeffring import CoeffQT
-from lltpaths.errors import BoundExceeded, HasDiagonal, InvalidArgument, InvalidColoring
+from lltpaths.errors import BoundExceeded, HasDiagonal, InvalidArgument, InvalidColoring, SizeMismatch
 from lltpaths.llt import (
+    FREE,
     PROPER,
+    STRICT,
     Orientation,
     _block_sizes,
     _hrv_labels,
+    _lower_neighbors,
     _upward_edges,
     asc_coloring,
     asc_orientation,
@@ -215,6 +218,30 @@ def test_swap_coloring_refuses_a_vertex_outside_the_graph():
             swap_coloring(g, (1, 2, 3), x, x + 1)
 
 
+def test_swap_coloring_refuses_a_coloring_of_the_wrong_length():
+    g = graph(parse("nnneee"))
+    for kappa in ((1,), (1, 2, 3, 4)):
+        with pytest.raises(InvalidColoring):
+            swap_coloring(g, kappa, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: swap_coloring(graph(parse("nnee")), (1, 2), 1, 3),
+        lambda: bounce_at(parse("nnee"), (0, 2)),
+        lambda: SymFunc("x", {(1,): 1}),
+        lambda: SymFunc("e", {(1, 2): 1}),
+        lambda: SymFunc("e", {(1,): 1}).convert("x"),
+        lambda: Q ** -1,
+    ],
+    ids=["swap_coloring", "bounce_at", "SymFunc basis", "SymFunc key", "convert", "CoeffQT pow"],
+)
+def test_bad_arguments_raise_the_package_error(call):
+    with pytest.raises(InvalidArgument):
+        call()
+
+
 def test_hrv_refuses_a_vertex_outside_the_graph():
     g = graph(parse("nndee"))
     theta = orientations(parse("nndee"))[0]
@@ -354,6 +381,27 @@ def _backtrack_coefficient(lower, lam):
     return _q_tally(tally)
 
 
+def test_lower_neighbors_read_the_edges_of_the_decorated_graph():
+    # graph() builds the edge sets on its own, so it is the reference for the kernels' lists
+    for n in range(1, 8):
+        for p in enumerate_paths(n):
+            g = graph(p)
+            want = [[] for _ in range(n + 1)]
+            for (u, v) in sorted(g.edges):
+                want[v].append((u, STRICT if (u, v) in g.strict else FREE))
+            assert _lower_neighbors(p) == want, p.word
+            assert _lower_neighbors(p, proper=True) == [[(u, PROPER) for u, _ in nbrs] for nbrs in want], p.word
+
+
+def test_content_coefficient_refuses_a_content_that_is_not_a_weak_composition_of_the_size():
+    with pytest.raises(SizeMismatch):
+        content_coefficient(parse("ne"), (2,))  # x_1^2 has degree 2, the path size 1
+    for content in ((-1, 3), (0.5, 1.5)):
+        with pytest.raises(InvalidArgument):
+            content_coefficient(parse("nnee"), content)
+    assert content_coefficient(parse("nnee"), (0, 2)) == content_coefficient(parse("nnee"), (2,)) == ONE
+
+
 def test_llt_matches_the_backtrack_on_every_content():
     for n in range(1, 7):
         for p in enumerate_paths(n):
@@ -365,7 +413,7 @@ def test_llt_matches_the_backtrack_on_every_content():
 def test_chromatic_matches_the_backtrack_with_proper_edges():
     for n in range(1, 7):
         for p in enumerate_paths(n, dyck_only=True):
-            lower = [[(u, PROPER) for (u, _) in nbrs] for nbrs in graph(p).lower_neighbors()]
+            lower = _lower_neighbors(p, proper=True)
             f = chromatic(p)
             for lam in partitions_of(n):
                 assert f.coeffs.get(lam, CoeffQT.zero()) == _backtrack_coefficient(lower, lam), (p.word, lam)
@@ -459,7 +507,7 @@ def test_llt_and_chromatic_match_the_backtrack_at_size_8():
         for lam in partitions_of(8):
             assert f.coeffs.get(lam, CoeffQT.zero()) == content_coefficient(p, lam, bound=8), (word, lam)
     p = parse("n" * 8 + "e" * 8)
-    lower = [[(u, PROPER) for (u, _) in nbrs] for nbrs in graph(p).lower_neighbors()]
+    lower = _lower_neighbors(p, proper=True)
     f = chromatic(p, bound=8)
     for lam in partitions_of(8):
         assert f.coeffs.get(lam, CoeffQT.zero()) == _backtrack_coefficient(lower, lam), lam
@@ -472,7 +520,7 @@ def test_backtrack_entry_points_refuse_a_large_size_before_any_work(monkeypatch)
         raise AssertionError("the guard let work begin")
 
     monkeypatch.setattr(llt_module, "coloring_backtrack", fail)
-    monkeypatch.setattr(llt_module, "graph", fail)
+    monkeypatch.setattr(llt_module, "_lower_neighbors", fail)
     flat = parse("ne" * 8)  # size 8, no area: n^n colorings
     assert flat.size == 8 and area(flat) == 0
     with pytest.raises(BoundExceeded):
