@@ -247,7 +247,13 @@ class CoeffQT:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        # a constant equals its rational (see __eq__), so it must hash as one
+        terms = self.terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and (0, 0) in terms:
+            return hash(terms[(0, 0)])
+        return hash(frozenset(terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)

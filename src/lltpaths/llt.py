@@ -11,7 +11,7 @@ prunes by the rule that each edge to a lower neighbour u carries:
 * FREE: any colour, an ascent when it rises;
 * PROPER: the colour must differ, an ascent when it rises.
 
-The rules are this module's own: every coloring entry point takes its
+The rules are this module's own: every caller of the backtrack takes its
 lists of (u, rule) from ``_lower_neighbors``, which reads the path's column
 tops, not its ``DecoratedGraph`` (that serves the per-object functions).
 
@@ -20,16 +20,29 @@ callback decides what each finished coloring contributes.
 ``content_coefficient``, ``coloring_weight_split`` and the permutation
 colorings of the Schur module run it; the first two refuse a path above
 their size bound before any work.  ``llt`` and ``chromatic`` (every edge
-PROPER) instead run ``_m_expansion``, which builds all contents at once by
-adding one colour class at a time.  Its state is one int per set of
-coloured vertices: each partition of the number coloured (the class sizes
-so far) has a fixed slot in it, and a slot holds an ascent tally as a
-value at q = 2**width.  Digits are as wide as n!, which no count reaches,
-and slots hold one digit more than there are non-strict edges, so no carry
-crosses a digit or a slot.  Adding a class is then one shift and one add
-of ints (see `partition_slots` for the slot order that makes this work).
-``llt`` tallies q^{asc(kappa)} x_kappa over the strict and free edges of
-the graph of a path, the vertical-strip polynomial in the monomial basis.
+PROPER) instead take out colour class 1 first.  With B the set of vertices
+of colour 1 and the rest coloured 2, 3, ... as a coloring of the graph
+induced on the other vertices, relabelled down by one,
+
+    G(P) = sum over B of q^asc(B) [|B| | G(P restricted to the rest)],
+
+where B ranges over the nonempty vertex sets with no vertex that has a
+strict lower neighbour (for ``chromatic``, also no edge inside B), asc(B)
+counts the non-strict edges (u, v), u < v, with u in B and v outside it,
+and [k | F] keeps the terms m_nu of F with nu_1 <= k and prepends the part
+k.  The m_lam coefficient of G(P), the colorings of content lam, is then
+read off exactly, with no symmetry of any graph assumed.
+
+The rest is again the graph of a Schroeder path.  Vertex u of a vertex
+set R keeps the vertices of R in u+1..top[u] as its upper neighbours, so
+its new top is the number of vertices of R up to top[u], and these tops
+never decrease; u keeps its strict edge iff top[u] is in R, and the new
+top of a diagonal column stays above the one before it (top[u] itself is
+in R and lies above the old top of the column before).  So the values of
+smaller paths serve larger ones, as the orientation DP's window moves do.
+``_first_classes`` reads the classes and the rest words off the path word,
+``_shape_value`` sums them, and ``_layout`` fixes one packed layout per
+size bound, so that the prepending is one mask and one shift of ints.
 
 Orientations.  An orientation is a bitmask over the non-strict edges (a
 set bit points the edge upward); ``_hrv_labels`` computes the highest
@@ -48,19 +61,26 @@ in the orientation sum recovers the coloring sum, which is the identity
 the verification suites exercise on exhaustive small instances.
 
 All enumerations tally integer counts first and only then build exact
-coefficients, so the hot loops never touch Fraction arithmetic.  ``llt``
-and ``orientation_e_expansion`` keep no value: each call runs its DP, and
-a caller that reads a value again keeps it (the relation suites keep one
-packed int per word).  ``chromatic`` memoizes by path word, because the
-chromatic suite multiplies the values of every smaller size.  Both DPs
-decode their packed tallies with `CoeffQT.from_packed` as they return, so
-once a caller drops a value nothing holds it.  The module state they read
-is combinatorial: the orientation DP's window moves (`_WINDOW_MOVES`, keyed
-by step and window state, with `_WINDOW_STATES` holding one object per
-state they name) and the coloring DP's lists of uncoloured vertices
-(`_UNCOLOURED_VERTICES`, keyed by size).  These tables hold tuples of ints
-and bools, never a coefficient or a path value; every insert is
-idempotent, and they grow with the sizes swept.
+coefficients, so the hot loops never touch Fraction arithmetic.
+``orientation_e_expansion`` keeps no value: each call runs its DP, and a
+caller that reads a value again keeps it (the relation suites keep one
+packed int per word).  ``llt`` and ``chromatic`` keep one packed int for
+every proper induced shape they meet in `_SHAPE_VALUES`, keyed by the size
+bound b clipped at DEGREE_BOUND (which fixes the layout), by whether the
+edges are PROPER, and by the shape's path word.  A shape of m vertices is
+only read through a class of at most b - m vertices, so its int holds the
+terms m_lam with lam_1 <= min(m, b - m), and only classes of that size are
+summed for it.  The value of the path asked for is summed from every
+class, decoded with `CoeffQT.from_packed` and dropped.  So a sweep of the
+paths of size n keeps at most one int per path of size below n, per bound
+and rule, and no coefficient.  ``chromatic`` also memoizes its
+result by path word, because the chromatic suite multiplies the values of
+every smaller size.  The other module state is combinatorial: the packed
+layouts (`_LAYOUTS`, by size bound) and the orientation DP's window moves
+(`_WINDOW_MOVES`, keyed by step and window state, with `_WINDOW_STATES`
+holding one object per state they name).  These tables hold tuples and
+lists of ints and bools, never a coefficient or a path value.  Every
+insert into any of them is idempotent, and they grow with the sizes swept.
 """
 
 from __future__ import annotations
@@ -72,7 +92,7 @@ from typing import Callable
 from . import memo
 from .coeffring import CoeffQT
 from .errors import BoundExceeded, HasDiagonal, InvalidArgument, InvalidColoring, SizeMismatch
-from .partitions import partition_slots, partitions_of
+from .partitions import DEGREE_BOUND, partition_slots, partitions_of
 from .schroeder import SIZE_BOUND, DecoratedGraph, SchroederPath, area, graph
 from .symfunc import SymFunc
 
@@ -84,8 +104,10 @@ _WINDOW_MOVES: dict[tuple, dict[tuple, tuple]] = memo.table("_WINDOW_MOVES")
 # every window state those moves lead to, one object per value, so moves share them
 _WINDOW_STATES: dict[tuple, tuple] = memo.table("_WINDOW_STATES")
 _ROOT = ((), (), ())  # the window state before any vertex is placed
-# the coloring DP's vertex lists: size -> coloured set -> the uncoloured vertices
-_UNCOLOURED_VERTICES: dict[int, tuple[tuple[int, ...], ...]] = memo.table("_UNCOLOURED_VERTICES")
+# the coloring DP's values: (size bound, proper) -> shape word -> packed value (see `_shape_value`)
+_SHAPE_VALUES: dict[tuple[int, bool], dict[str, int]] = memo.table("_SHAPE_VALUES")
+# the packed layout of those values, by size bound (see `_layout`)
+_LAYOUTS: dict[int, tuple] = memo.table("_LAYOUTS")
 
 
 Coloring = tuple[int, ...]
@@ -193,114 +215,118 @@ def coloring_backtrack(
     rec(1, 0)
 
 
-def _uncoloured_vertices(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each set of vertices 0..n-1, as a bitmask, the vertices outside it, in order."""
-    cached = _UNCOLOURED_VERTICES.get(n)
+def _layout(b: int) -> tuple[int, int, list[list[int]], list[list[int]]]:
+    """The packed layout of the coloring values under the size bound b <= DEGREE_BOUND.
+
+    A value is one int: the partitions of its size each have a slot, in the
+    order of `partition_slots`, and a slot holds an ascent tally as a value
+    at q = 2**width.  Digits are as wide as b!, which no count of colorings
+    of at most b vertices reaches, and a slot holds C(b, 2) + 1 digits, one
+    more than the most ascents such a coloring has, so no carry crosses a
+    digit or a slot.  Every size under one bound shares the layout, so the
+    value of a smaller shape moves into a larger one by a mask and a shift:
+    keep[m][k] masks the slots of the partitions of m whose largest part is
+    at most k, and into[n][k] is the bit offset of the block of partitions
+    of n whose largest part is k.  Returns (width, slot, keep, into).
+    """
+    cached = _LAYOUTS.get(b)
     if cached is None:
-        cached = tuple(tuple(v for v in range(n) if not s >> v & 1) for s in range(1 << n))
-        _UNCOLOURED_VERTICES[n] = cached
+        width = factorial(b).bit_length()
+        slot = width * (b * (b - 1) // 2 + 1)
+        los = [partition_slots(m)[1] for m in range(b + 1)]
+        keep = [[(1 << slot * lo[min(k, m) + 1]) - 1 for k in range(b + 1)] for m, lo in enumerate(los)]
+        into = [[slot * lo[k] for k in range(n + 1)] for n, lo in enumerate(los)]
+        cached = _LAYOUTS.setdefault(b, (width, slot, keep, into))
     return cached
 
 
-def _m_expansion(lower, n: int) -> SymFunc:
-    """The coloring sum in the m-basis: m_lam collects the colorings of content lam.
+def _first_classes(word: str, proper: bool, cap: int) -> list[tuple[str, int, int]]:
+    """(rest word, asc(B), |B|) for every colour class 1, B, of at most `cap` vertices, the empty one too.
 
-    A dynamic program that colours one class at a time, colour 1 first, for
-    every content at once.  The next class S, coloured one higher than every
-    vertex already coloured, may be any set of uncoloured vertices such that
-    every strict lower neighbour of a vertex of S is already coloured and no
-    PROPER edge joins two vertices of S.  A vertex of S rises above each of
-    its non-strict lower neighbours that are already coloured, one ascent
-    each; an ascent on an edge is counted when its upper end is coloured, so
-    never twice.  Class sizes never increase, so the sizes so far form a
-    partition of the number m of coloured vertices, read largest first.
+    The word is read as rows and columns: an n step is the row of a vertex,
+    an e step the column of a vertex, and a d step both, the row of top[u]
+    and the column of u, whose edge to top[u] is strict.  Rows and columns
+    each come in vertex order, the row of a vertex before its column, and
+    v is adjacent to u < v iff the row of v comes before the column of u.
+    B may hold a vertex iff its row is an n step (the row of a d step has a
+    strict lower neighbour); with `proper`, no two members are adjacent.
 
-    The state of a coloured set is one int.  Each partition of m has a slot
-    (`partition_slots`), and the slot holds the ascent tally of the
-    colorings with those class sizes, as a value at q = 2**width (see
-    `CoeffQT.from_packed`, which decodes each m-coefficient).  A
-    class of size k may follow only the partitions whose smallest part is
-    at least k, a suffix of the slots, and appending k maps that suffix in
-    order onto the block of partitions of m+k whose smallest part is k.
-    So a class of size k with a ascents adds (value >> slot * lo[m][k]) <<
-    (width * a + slot * lo[m+k][k]) to the int of its target: the blocks of
-    a target hold disjoint slots, so they add into one int without a carry.
-
-    No carry crosses a digit or a slot: no count exceeds n!, whose bit
-    length is the digit width, and no coloring has more ascents than the
-    graph has non-strict edges, so a slot of that many digits plus one
-    holds any tally.
-
-    A state reads only its uncoloured vertices (`_uncoloured_vertices`).
-    When every partition it holds ends in a part 1, only singletons may
-    follow, and the state adds one term per ready vertex without building
-    the list of classes.
+    One pass over the letters keeps every choice made so far, as (rest, B,
+    open, asc, k): the rest word, B as a bitmask, the members whose column
+    is still to come (a row read now is adjacent to exactly those), the
+    ascents and |B|.  A row outside B rises above each open member, one
+    ascent each.  A member's column is dropped, or its d step becomes the
+    n step of the row it holds; every other letter is copied.  So the rest
+    is the word of the graph induced on the vertices outside B.
     """
-    need = [0] * n  # strict lower neighbours, coloured lower than v
-    rise = [0] * n  # non-strict lower neighbours, an ascent each when coloured lower
-    clash = [0] * n  # PROPER lower neighbours, never in the class of v
-    for v in range(1, n + 1):
-        for (u, rule) in lower[v]:
-            bit = 1 << (u - 1)
-            if rule == STRICT:
-                need[v - 1] |= bit
-            else:
-                rise[v - 1] |= bit
-                if rule == PROPER:
-                    clash[v - 1] |= bit
-    width = factorial(n).bit_length()
-    slot = width * (sum(r.bit_count() for r in rise) + 1)
-    # start[m][k]: the bit offset of slot lo[k] among the partitions of m, for k <= n
-    start = []
-    for m in range(n + 1):
-        lo = partition_slots(m)[1]
-        start.append([slot * i for i in lo] + [slot * lo[-1]] * (n - m - 1))
-    # into[m][k]: the bit offset of block k among the partitions of m + k, where
-    # a class of size k lands when m vertices are coloured
-    into = [[0] + [start[m + k][k] for k in range(1, n - m + 1)] for m in range(n + 1)]
-    # offsets[m]: where the slots that a class of size 1, 2, ... may follow start
-    offsets = [start[m][1 : n + 1 - m] for m in range(n + 1)]
-    verts = [(1 << v, need[v], rise[v], clash[v]) for v in range(n)]
-    uncoloured = _uncoloured_vertices(n)
-    everyone = (1 << n) - 1
-    # coloured set -> its int, 0 until a class reaches it; a class is nonempty,
-    # so the coloured set grows as an int and one ascending pass visits every
-    # state.  The empty set holds the empty partition, in slot 0.
-    table = [0] * (everyone + 1)
-    table[0] = 1
-    for coloured in range(everyone + 1):
-        value = table[coloured]
-        if not value:
-            continue
-        table[coloured] = 0
-        m = coloured.bit_count()
-        lands = into[m]
-        suffix = [0]  # suffix[k]: the slots that a class of size k may follow
-        for offset in offsets[m]:
-            tail = value >> offset
-            if not tail:
-                break
-            suffix.append(tail)
-        if len(suffix) == 2:
-            # every partition so far ends in a part 1, so only singletons follow
-            tail, at = suffix[1], lands[1]
-            for v in uncoloured[coloured]:
-                bit, before, below, _ = verts[v]
-                if not before & ~coloured:
-                    table[coloured | bit] += tail << (at + width * (below & coloured).bit_count())
-            continue
-        cap = len(suffix) - 1
-        classes = [(0, 0, 0)]  # (members, size, width * ascents)
-        for v in uncoloured[coloured]:
-            bit, before, below, apart = verts[v]
-            if before & ~coloured:
-                continue
-            gain = width * (below & coloured).bit_count()
-            classes += [(s | bit, k + 1, a + gain) for (s, k, a) in classes if k < cap and not s & apart]
-        for members, k, shift in classes[1:]:
-            table[members | coloured] += suffix[k] << (shift + lands[k])
-    # the last state visited colours every vertex (one vertex per class, in
-    # order, is always a coloring), and its value holds the m-coefficients
+    states = [("", 0, 0, 0, 0)]
+    row = col = 0
+    for letter in word:
+        if letter == "n":
+            bit = 1 << row
+            row += 1
+            grown = []
+            for rest, b, opened, asc, k in states:
+                grown.append((rest + "n", b, opened, asc + opened, k))
+                if k < cap and not (proper and opened):
+                    grown.append((rest, b | bit, opened + 1, asc, k + 1))
+            states = grown
+        elif letter == "e":
+            bit = 1 << col
+            col += 1
+            states = [
+                (rest, b, opened - 1, asc, k) if b & bit else (rest + "e", b, opened, asc, k)
+                for rest, b, opened, asc, k in states
+            ]
+        else:
+            bit = 1 << col
+            col += 1
+            row += 1
+            states = [
+                (rest + "n", b, opened - 1, asc + opened - 1, k) if b & bit else (rest + "d", b, opened, asc + opened, k)
+                for rest, b, opened, asc, k in states
+            ]
+    return [(rest, asc, k) for rest, _, _, asc, k in states]
+
+
+def _shape_value(word: str, n: int, values: dict[str, int], layout, proper: bool, cap: int) -> int:
+    """The packed coloring sum of the shape `word` of size n, by its first colour class.
+
+    G(P) = sum over the classes B of q^asc(B) [|B| | G(rest)], where
+    [k | F] keeps the terms m_nu of F with nu_1 <= k and prepends the part
+    k: a mask and a shift in the layout.  Only the classes of at most `cap`
+    vertices are summed, so the value holds the terms m_lam with
+    lam_1 <= cap, exactly.  Each rest is read from `values`, or computed
+    and stored there first, with the terms that any shape of at most b
+    vertices, the size bound, can read: a rest of m vertices is only ever
+    read through a class of at most b - m, so it keeps lam_1 <= min(m, b - m).
+    """
+    width, _, keep, into = layout
+    b = len(into) - 1  # the size bound the layout serves
+    lands = into[n]
+    total = 0
+    for rest, asc, k in _first_classes(word, proper, cap):
+        if k:
+            m = n - k
+            value = values.get(rest)
+            if value is None:
+                value = values[rest] = _shape_value(rest, m, values, layout, proper, min(m, b - m))
+            total += (value & keep[m][k]) << (lands[k] + width * asc)
+    return total
+
+
+def _coloring_sum(path: SchroederPath, bound: int, proper: bool) -> SymFunc:
+    """The coloring sum of the path in the m-basis, from the shared shape values under its bound."""
+    n = path.size
+    b = min(bound, DEGREE_BOUND)
+    if n > b:
+        raise BoundExceeded(f"the coloring sum on size {n} exceeds the degree bound {DEGREE_BOUND}")
+    layout = _layout(b)
+    values = _SHAPE_VALUES.get((b, proper))
+    if values is None:
+        values = _SHAPE_VALUES.setdefault((b, proper), {"": 1})  # the empty shape: one empty coloring
+    value = _shape_value(path.word, n, values, layout, proper, n)
+    width, slot = layout[0], layout[1]
     order = partition_slots(n)[0]
     mask = (1 << slot) - 1
     tallies = {lam: value >> slot * i & mask for i, lam in enumerate(order)}
@@ -319,7 +345,7 @@ def llt(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     n = path.size
     if n > bound:
         raise BoundExceeded(f"llt on size {n} exceeds bound {bound}")
-    return _m_expansion(_lower_neighbors(path), n)
+    return _coloring_sum(path, bound, proper=False)
 
 
 def content_coefficient(path: SchroederPath, content: tuple[int, ...], bound: int = SIZE_BOUND) -> CoeffQT:
@@ -554,7 +580,7 @@ def chromatic(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     cached = _CHROMATIC_CACHE.get(path.word)
     if cached is not None:
         return cached
-    out = _m_expansion(_lower_neighbors(path, proper=True), n)
+    out = _coloring_sum(path, bound, proper=True)
     _CHROMATIC_CACHE[path.word] = out
     return out
 

@@ -54,23 +54,23 @@ def partitions_of(n: int, bound: int = DEGREE_BOUND) -> list[Partition]:
 
 
 def partition_slots(m: int) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
-    """The partitions of m in slot order, and lo: where each smallest-part suffix starts.
+    """The partitions of m in slot order, and lo: where each largest-part block starts.
 
-    Slot order reads the parts of a partition smallest first and sorts those
-    sequences ascending, so (1^m) takes slot 0 and (m) the last slot.  The
-    partitions whose smallest part is at least k then form a suffix, which
-    starts at slot lo[k] for k = 0..m+1 (lo[m+1] is the number of
-    partitions; every lo of m = 0 is 0, since the empty partition has no
-    smallest part to fail the test).  Appending a part k maps that suffix,
-    in order, onto the block of partitions of m+k whose smallest part is k:
-    slots lo[k] up to the lo[k+1] of m+k.  Built on first use; one entry per
-    degree, and partitions_of refuses degrees above DEGREE_BOUND.
+    Slot order is lexicographic, largest part first, so (1^m) takes slot 0
+    and (m) the last slot.  The partitions whose largest part is below k
+    then form a prefix, of lo[k] slots for k = 0..m+1 (lo[m+1] is the
+    number of partitions; the empty partition of 0 counts as largest part
+    0).  Prepending a part k to the partitions of m whose largest part is
+    at most k, the first lo[min(k, m) + 1] slots, maps them in order onto
+    the block of partitions of m+k whose largest part is k: slots lo[k] up
+    to the lo[k+1] of m+k.  Built on first use; one entry per degree, and
+    partitions_of refuses degrees above DEGREE_BOUND.
     """
     cached = _SLOTS_CACHE.get(m)
     if cached is None:
-        order = tuple(sorted(partitions_of(m), key=lambda lam: lam[::-1]))
-        smallest = [lam[-1] for lam in order if lam]
-        lo = tuple(sum(1 for part in smallest if part < k) for k in range(m + 2))
+        order = tuple(sorted(partitions_of(m)))
+        largest = [lam[0] if lam else 0 for lam in order]
+        lo = tuple(sum(1 for part in largest if part < k) for k in range(m + 2))
         cached = (order, lo)
         _SLOTS_CACHE[m] = cached
     return cached

@@ -185,6 +185,15 @@ def test_integral_fraction_and_int_are_one_value():
     assert CoeffQT.from_obj([{"q": 1, "t": 0, "num": "6", "den": "3"}]).terms == {(1, 0): 2}
 
 
+@pytest.mark.parametrize("v", [0, 3, -1, Fraction(1, 2)])
+def test_a_constant_hashes_as_the_rational_it_equals(v):
+    c = CoeffQT.from_rational(v)
+    assert c == v and hash(c) == hash(v)
+    assert v in {c} and c in {v}
+    assert {c: 1}.get(v) == 1 and {v: 1}.get(c) == 1
+    assert {CoeffQT.zero(): 1}.get(0) == 1
+
+
 @pytest.mark.parametrize("signed", [False, True])
 def test_from_packed_reads_back_the_value_at_a_power_of_two(signed):
     rng = random.Random(5)

@@ -14,6 +14,7 @@ from lltpaths.llt import (
     STRICT,
     Orientation,
     _block_sizes,
+    _first_classes,
     _hrv_labels,
     _lower_neighbors,
     _upward_edges,
@@ -31,7 +32,7 @@ from lltpaths.llt import (
     orientations,
     swap_coloring,
 )
-from lltpaths.partitions import partitions_of
+from lltpaths.partitions import DEGREE_BOUND, partitions_of
 from lltpaths.schroeder import area, bounce_at, enumerate_paths, graph, parse, reverse
 from lltpaths.symfunc import SymFunc
 
@@ -436,25 +437,18 @@ def test_orientation_sum_matches_the_mask_loop():
             assert orientation_e_expansion(p) == _orientation_mask_loop(p), p.word
 
 
-def test_the_shared_window_moves_cannot_change_a_value():
-    # every path shares the orientation DP's move table, so a value must not
-    # depend on what filled it: cold, after a larger shuffled sweep, or while
-    # other threads fill it from cold
-    paths = [p for n in range(1, 7) for p in enumerate_paths(n)]
-    want = [_orientation_mask_loop(p) for p in paths]
+def _assert_shared_tables_cannot_change(values, want, fill) -> None:
+    """values() gives want from empty tables, after fill() ran, and in four threads that fill them from empty."""
     clear_caches()
-    assert [orientation_e_expansion(p) for p in paths] == want
+    assert values() == want
     clear_caches()
-    larger = [p for n in range(1, 8) for p in enumerate_paths(n)]
-    random.Random(21).shuffle(larger)
-    for p in larger:
-        orientation_e_expansion(p)
-    assert [orientation_e_expansion(p) for p in paths] == want
+    fill()
+    assert values() == want
     clear_caches()
     got = [None] * 4
 
     def sweep(i):
-        got[i] = [orientation_e_expansion(p) for p in paths]
+        got[i] = values()
 
     threads = [threading.Thread(target=sweep, args=(i,)) for i in range(len(got))]
     interval = sys.getswitchinterval()
@@ -468,6 +462,107 @@ def test_the_shared_window_moves_cannot_change_a_value():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == [want] * len(got)
+
+
+def test_the_shared_window_moves_cannot_change_a_value():
+    # every path shares the orientation DP's move table, so a value must not
+    # depend on what filled it: cold, after a larger shuffled sweep, or while
+    # other threads fill it from cold
+    paths = [p for n in range(1, 7) for p in enumerate_paths(n)]
+    larger = [p for n in range(1, 8) for p in enumerate_paths(n)]
+    random.Random(21).shuffle(larger)
+    _assert_shared_tables_cannot_change(
+        lambda: [orientation_e_expansion(p) for p in paths],
+        [_orientation_mask_loop(p) for p in paths],
+        lambda: [orientation_e_expansion(p) for p in larger],
+    )
+
+
+def _word_from_tops(tops):
+    """The path word whose column c reaches tops[c - 1] = (top, strict), c = 1..n."""
+    word, height = [], 0
+    for top, strict in tops:
+        word.append("n" * (top - height - strict) + ("d" if strict else "e"))
+        height = top
+    return "".join(word)
+
+
+def _relabelled(pairs, kept):
+    rank = {v: i for i, v in enumerate(kept, start=1)}
+    return {(rank[x], rank[y]) for (x, y) in pairs if x in rank and y in rank}
+
+
+def test_induced_subgraphs_are_the_graphs_of_smaller_paths():
+    # every vertex set R of the graph of P induces the graph of a path:
+    # vertex u of R reaches the vertices of R up to top[u], and keeps its strict
+    # edge iff top[u] is in R; the first colour classes are the sets B of
+    # vertices with no strict lower neighbour (pairwise apart for chromatic), and
+    # _first_classes gives the induced word of the rest and the ascents of B
+    for n in range(1, 7):
+        for p in enumerate_paths(n):
+            g, tops = graph(p), p.column_tops()
+            heads = {top for top, strict in tops.values() if strict}
+            expected = {False: [], True: []}
+            for mask in range(1 << n):
+                kept = [v for v in range(1, n + 1) if mask >> (v - 1) & 1]
+                word = _word_from_tops([(sum(1 for w in kept if w <= tops[u][0]), tops[u][1] and tops[u][0] in kept) for u in kept])
+                rest = graph(parse(word))
+                assert rest.n == len(kept), (p.word, kept)
+                assert rest.edges == _relabelled(g.edges, kept) and rest.strict == _relabelled(g.strict, kept), (p.word, kept)
+                chosen = set(range(1, n + 1)) - set(kept)
+                if chosen & heads:
+                    continue
+                asc = sum(1 for (x, y) in g.edges - g.strict if x in chosen and y not in chosen)
+                expected[False].append((word, asc, len(chosen)))
+                if p.is_dyck() and not any(x in chosen and y in chosen for (x, y) in g.edges):
+                    expected[True].append((word, asc, len(chosen)))
+            # the empty class, which keeps every vertex, is listed too, and a cap
+            # leaves out exactly the larger classes
+            for cap in range(n + 1):
+                for proper in (False, True) if p.is_dyck() else (False,):
+                    want = sorted(c for c in expected[proper] if c[2] <= cap)
+                    assert sorted(_first_classes(p.word, proper, cap)) == want, (p.word, proper, cap)
+
+
+def test_the_shared_shape_values_cannot_change_a_value():
+    # llt and chromatic read the values of smaller shapes from one table, so a
+    # value must not depend on what filled it: each path computed from an
+    # empty table is the reference
+    paths = [p for n in range(1, 7) for p in enumerate_paths(n)]
+
+    def values():
+        return [(llt(p), chromatic(p) if p.is_dyck() else None) for p in paths]
+
+    want = []
+    for p in paths:
+        clear_caches()
+        want.append((llt(p), chromatic(p) if p.is_dyck() else None))
+    larger = [p for n in range(1, 8) for p in enumerate_paths(n)]
+    random.Random(23).shuffle(larger)
+    _assert_shared_tables_cannot_change(
+        values, want, lambda: [(llt(p), chromatic(p) if p.is_dyck() else None) for p in larger]
+    )
+
+
+def test_a_bound_above_the_degree_bound_builds_no_larger_layout(monkeypatch):
+    # the layout is clipped at DEGREE_BOUND, so a large bound on a small path
+    # asks for no partitions above it
+    llt_module, partitions_module = sys.modules["lltpaths.llt"], sys.modules["lltpaths.partitions"]
+    asked = []
+    original = partitions_module.partitions_of
+
+    def spy(n, *args, **kwargs):
+        asked.append(n)
+        return original(n, *args, **kwargs)
+
+    monkeypatch.setattr(partitions_module, "partitions_of", spy)
+    monkeypatch.setattr(llt_module, "partitions_of", spy)
+    clear_caches()
+    assert llt(parse("ne"), bound=20) == SymFunc("m", {(1,): ONE})
+    assert chromatic(parse("nnee"), bound=20) == chromatic(parse("nnee"))
+    assert asked and max(asked) <= DEGREE_BOUND
+    with pytest.raises(BoundExceeded):
+        llt(parse("n" * 13 + "e" * 13), bound=13)
 
 
 def test_orientation_route_is_bounded_by_size():

@@ -11,15 +11,15 @@ from lltpaths.symfunc import SymFunc
 
 # every module-level table, by module
 TABLES = {
-    "llt": ("_CHROMATIC_CACHE", "_WINDOW_MOVES", "_WINDOW_STATES", "_UNCOLOURED_VERTICES"),
+    "llt": ("_CHROMATIC_CACHE", "_WINDOW_MOVES", "_WINDOW_STATES", "_SHAPE_VALUES", "_LAYOUTS"),
     "relations": ("_RECURSION_CACHE", "_RECURSION_COEFFS", "_PACKED_VALUES", "_BOUNCE_WALKS"),
     "symfunc": ("_M_MUL_CACHE", "_TRANSITION_CACHE"),
     "partitions": ("_PARTITIONS_CACHE", "_SLOTS_CACHE", "_KOSTKA_CACHE"),
 }
-# the tables of combinatorial data, keyed by degree, by partitions or by window states
+# the tables of combinatorial data, keyed by degree, by size bound, by partitions or by window states
 COMBINATORIAL = {
     "_PARTITIONS_CACHE", "_SLOTS_CACHE", "_TRANSITION_CACHE", "_KOSTKA_CACHE", "_M_MUL_CACHE",
-    "_WINDOW_MOVES", "_WINDOW_STATES", "_UNCOLOURED_VERTICES",
+    "_WINDOW_MOVES", "_WINDOW_STATES", "_LAYOUTS",
 }
 
 
@@ -93,10 +93,16 @@ def _values(obj) -> list:
     return []
 
 
-def test_single_visit_sweeps_leave_only_combinatorial_tables(capsys):
+def test_single_visit_sweeps_leave_only_combinatorial_tables_and_smaller_shapes(capsys):
     lltpaths.clear_caches()
     assert cli.main(["equality", "--max-n", "5", "--json"]) == 0
     capsys.readouterr()
     nabla_e(5), nabla_p(4), survey_e_coefficients(5)
-    assert not [name for name, t in memo._TABLES.items() if t and name not in COMBINATORIAL]
+    assert [name for name, t in memo._TABLES.items() if t and name not in COMBINATORIAL] == ["_SHAPE_VALUES"]
     assert not [name for name in COMBINATORIAL if _values(memo._TABLES[name])]
+    # the coloring DP keeps one packed int per proper induced shape, never a
+    # path of the largest size requested (those values are decoded and dropped)
+    for (bound, proper), values in memo._TABLES["_SHAPE_VALUES"].items():
+        assert bound == 7 and proper is False
+        assert all(type(word) is str and type(value) is int for word, value in values.items())
+        assert max(len(word) - word.count("e") for word in values) == 4

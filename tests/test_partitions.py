@@ -115,17 +115,19 @@ def test_weak_compositions():
 
 def test_partition_slots_layout():
     # the layout the packed coloring DP relies on, at every degree it accepts
+    assert partition_slots(4) == (((1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)), (0, 0, 1, 3, 4, 5))
+    assert partition_slots(0) == (((),), (0, 1))
     for m in range(DEGREE_BOUND + 1):
         order, lo = partition_slots(m)
-        assert sorted(order) == sorted(partitions_of(m)) and len(set(order)) == len(order)
-        assert order[0] == (1,) * m and len(lo) == m + 2 and lo[0] == 0 and lo[-1] == (len(order) if m else 0)
-        for k in range(m + 2):
-            # the partitions whose smallest part is at least k are exactly the slots from lo[k] on
-            assert [lam for lam in order if not lam or lam[-1] >= k] == list(order[lo[k] :]), (m, k)
+        assert list(order) == sorted(partitions_of(m)) and len(set(order)) == len(order)
+        assert order[0] == (1,) * m and len(lo) == m + 2 and lo[0] == 0 and lo[-1] == len(order)
+        for k in range(m + 1):
+            # the partitions whose largest part is at most k are exactly the first lo[k+1] slots
+            assert [lam for lam in order if not lam or lam[0] <= k] == list(order[: lo[k + 1]]), (m, k)
         for k in range(1, DEGREE_BOUND - m + 1):
-            # appending k maps that suffix, in order, onto the block of m+k with smallest part k
+            # prepending k maps that prefix, in order, onto the block of m+k with largest part k
             whole, starts = partition_slots(m + k)
-            suffix = order[lo[min(k, m + 1)] :]
-            assert [lam + (k,) for lam in suffix] == list(whole[starts[k] : starts[k + 1]]), (m, k)
+            prefix = order[: lo[min(k, m) + 1]]
+            assert [(k,) + lam for lam in prefix] == list(whole[starts[k] : starts[k + 1]]), (m, k)
     with pytest.raises(BoundExceeded):
         partition_slots(DEGREE_BOUND + 1)
