@@ -71,16 +71,16 @@ edges are PROPER, and by the shape's path word.  A shape of m vertices is
 only read through a class of at most b - m vertices, so its int holds the
 terms m_lam with lam_1 <= min(m, b - m), and only classes of that size are
 summed for it.  The value of the path asked for is summed from every
-class, decoded with `CoeffQT.from_packed` and dropped.  So a sweep of the
-paths of size n keeps at most one int per path of size below n, per bound
-and rule, and no coefficient.  ``chromatic`` also memoizes its
-result by path word, because the chromatic suite multiplies the values of
-every smaller size.  The other module state is combinatorial: the packed
-layouts (`_LAYOUTS`, by size bound) and the orientation DP's window moves
-(`_WINDOW_MOVES`, keyed by step and window state, with `_WINDOW_STATES`
-holding one object per state they name).  These tables hold tuples and
-lists of ints and bools, never a coefficient or a path value.  Every
-insert into any of them is idempotent, and they grow with the sizes swept.
+class (the empty path has none: its value is the empty shape's, the one
+empty coloring), decoded with `CoeffQT.from_packed` and dropped.  So a
+sweep of the paths of size n keeps at most one int per path of size below
+n, per bound and rule, and no coefficient.  The other module state is
+combinatorial: the packed layouts (`_LAYOUTS`, by size bound) and the
+orientation DP's window moves (`_WINDOW_MOVES`, keyed by step and window
+state, with `_WINDOW_STATES` holding one object per state they name).
+These tables hold tuples and lists of ints and bools, never a coefficient
+or a path value.  Every insert into any of them is idempotent, and they
+grow with the sizes swept.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ from .symfunc import SymFunc
 
 AREA_BOUND = 16
 
-_CHROMATIC_CACHE: dict[str, SymFunc] = memo.table("_CHROMATIC_CACHE")
 # the orientation DP's moves: step -> window state -> moves (see `_window_moves`)
 _WINDOW_MOVES: dict[tuple, dict[tuple, tuple]] = memo.table("_WINDOW_MOVES")
 # every window state those moves lead to, one object per value, so moves share them
@@ -325,7 +324,7 @@ def _coloring_sum(path: SchroederPath, bound: int, proper: bool) -> SymFunc:
     values = _SHAPE_VALUES.get((b, proper))
     if values is None:
         values = _SHAPE_VALUES.setdefault((b, proper), {"": 1})  # the empty shape: one empty coloring
-    value = _shape_value(path.word, n, values, layout, proper, n)
+    value = _shape_value(path.word, n, values, layout, proper, n) if n else values[""]
     width, slot = layout[0], layout[1]
     order = partition_slots(n)[0]
     mask = (1 << slot) - 1
@@ -577,12 +576,7 @@ def chromatic(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
         raise BoundExceeded(f"chromatic on size {n} exceeds bound {bound}")
     if not path.is_dyck():
         raise HasDiagonal(f"{path.word!r} has diagonal steps")
-    cached = _CHROMATIC_CACHE.get(path.word)
-    if cached is not None:
-        return cached
-    out = _coloring_sum(path, bound, proper=True)
-    _CHROMATIC_CACHE[path.word] = out
-    return out
+    return _coloring_sum(path, bound, proper=True)
 
 
 def coloring_weight_split(path: SchroederPath, x: int, bound: int = SIZE_BOUND):

@@ -56,6 +56,7 @@ def test_negative_sizes_are_refused(call):
 
 
 def test_nabla_e_small():
+    assert nabla_e(0).convert("s").coeffs == {(): ONE}
     assert nabla_e(1).convert("s").coeffs == {(1,): ONE}
     assert nabla_e(2).convert("s").coeffs == {(2,): ONE, (1, 1): Q + T}
 

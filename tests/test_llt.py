@@ -182,6 +182,16 @@ def test_chromatic_of_edgeless_graph():
     assert f == chromatic(parse("ne")).convert("e") * chromatic(parse("ne")).convert("e")
 
 
+def test_the_empty_path_has_one_empty_coloring():
+    # no first colour class exists, so the value is the empty shape's own
+    empty = SymFunc("m", {(): ONE})
+    clear_caches()
+    assert llt(parse("")) == empty and chromatic(parse("")) == empty
+    llt(parse("nnee")), chromatic(parse("nnee"))
+    assert llt(parse("")) == empty and chromatic(parse("")) == empty
+    assert llt(parse(""), bound=0) == empty == chromatic(parse(""), bound=0)
+
+
 def test_plethystic_bridge_small():
     for n in range(1, 5):
         divisor = (Q - 1) ** n

@@ -11,7 +11,7 @@ from lltpaths.symfunc import SymFunc
 
 # every module-level table, by module
 TABLES = {
-    "llt": ("_CHROMATIC_CACHE", "_WINDOW_MOVES", "_WINDOW_STATES", "_SHAPE_VALUES", "_LAYOUTS"),
+    "llt": ("_WINDOW_MOVES", "_WINDOW_STATES", "_SHAPE_VALUES", "_LAYOUTS"),
     "relations": ("_RECURSION_CACHE", "_RECURSION_COEFFS", "_PACKED_VALUES", "_BOUNCE_WALKS"),
     "symfunc": ("_M_MUL_CACHE", "_TRANSITION_CACHE"),
     "partitions": ("_PARTITIONS_CACHE", "_SLOTS_CACHE", "_KOSTKA_CACHE"),
@@ -78,7 +78,7 @@ def test_sweeps_that_visit_each_path_once_keep_no_value(capsys):
     capsys.readouterr()
     nabla_e(5), survey_e_coefficients(5)
     tables = _tables()
-    assert not tables["_CHROMATIC_CACHE"] and not tables["_RECURSION_CACHE"] and not tables["_PACKED_VALUES"]
+    assert not tables["_RECURSION_CACHE"] and not tables["_PACKED_VALUES"]
     assert not [name for name in memo._TABLES if "LLT" in name or "ORIENT" in name]
 
 
