@@ -65,6 +65,7 @@ class CoeffQT:
     > 1 (kept reduced with positive denominator by the `fractions` module).
     The constructor accepts any rational value and stores its canonical
     form, so `CoeffQT({(0, 0): Fraction(4, 2)}) == CoeffQT({(0, 0): 2})`.
+    An exponent that is not an int raises InvalidArgument.
     """
 
     __slots__ = ("terms",)
@@ -73,6 +74,8 @@ class CoeffQT:
         clean: dict[Exponents, Rational] = {}
         if terms:
             for (eq, et), v in terms.items():
+                if not (isinstance(eq, int) and isinstance(et, int)):
+                    raise InvalidArgument(f"exponents {(eq, et)!r} are not ints")
                 if v.__class__ is not int:
                     v = _canon(Fraction(v))
                 if v:
@@ -299,7 +302,12 @@ class CoeffQT:
         return CoeffQT({(eq + aq - bq, et + at - bt): v for (eq, et), v in quot.items()})
 
     def shift_q(self, c: int) -> "CoeffQT":
-        """Substitute q -> q + c, expanding binomially; t is untouched."""
+        """Substitute q -> q + c, expanding binomially; t is untouched.
+
+        c must be an int or a Fraction (InvalidArgument otherwise).
+        """
+        if not isinstance(c, (int, Fraction)):
+            raise InvalidArgument(f"shift {c!r} is not an int or a Fraction")
         if c == 0:
             return self
         out: dict[Exponents, Rational] = {}

@@ -284,49 +284,37 @@ def _decomposition(word: str, e: int, s: int) -> tuple[str, str, str, str, str]:
 
 
 def dyck_star(path: SchroederPath) -> SchroederPath:
-    """Collapse every corner (an 'en' factor) of a Dyck path into a diagonal step."""
+    """The corner collapse P* of a Dyck path: every corner (an 'en' factor) becomes a 'd'.
+
+    Corners never overlap, so this is one left-to-right replacement.
+    """
     if not path.is_dyck():
         raise HasDiagonal(f"{path.word!r} has diagonal steps")
-    word = path.word
-    out = []
-    i = 0
-    while i < len(word):
-        if word[i] == "e" and i + 1 < len(word) and word[i + 1] == "n":
-            out.append("d")
-            i += 2
-        else:
-            out.append(word[i])
-            i += 1
-    return SchroederPath("".join(out))
+    return SchroederPath(path.word.replace("en", "d"))
 
 
 def p_mu(mu: tuple[int, ...]) -> SchroederPath:
-    """The staircase-like path n^m1 e^(m1-m2) d^m2 e^(m2-m3) ... d^ml e^ml.
+    """The staircase path P_mu = n^m1 (e^(m_(i-1)-m_i) d^m_i for i = 2..l) e^ml, of size |mu|.
 
-    For a one-part partition the degenerate product is n^m e^m (no
-    diagonal steps); total size is |mu| in every case.
+    For mu = (m) this is n^m e^m.  Parts must be positive ints.
     """
     mu = tuple(mu)
-    if not mu or not all(mu[i] >= mu[i + 1] >= 1 for i in range(len(mu) - 1)) or mu[-1] < 1:
+    if not mu or not all(part.__class__ is int and part >= 1 for part in mu) or list(mu) != sorted(mu, reverse=True):
         raise InvalidArgument(f"{mu} is not a nonempty partition")
     word = ["n" * mu[0]]
-    if len(mu) == 1:
-        word.append("e" * mu[0])
-    else:
-        for i in range(1, len(mu)):
-            word.append("e" * (mu[i - 1] - mu[i]))
-            word.append("d" * mu[i])
-        word.append("e" * mu[-1])
+    for i in range(1, len(mu)):
+        word.append("e" * (mu[i - 1] - mu[i]) + "d" * mu[i])
+    word.append("e" * mu[-1])
     return SchroederPath("".join(word))
 
 
 def nu_alpha(alpha: tuple[int, ...]) -> tuple[SchroederPath, int, int]:
-    """Car diagram of a weak composition alpha and its Schroeder path.
+    """Car diagram of a weak composition alpha and its Schroeder path nu(alpha).
 
-    alpha must have n parts summing to n.  Column i receives alpha_i cars
-    stacked in consecutive rows, all cars of column i sitting below all
-    cars of column j for i < j; the support path has an east step per
-    column and alpha_i north steps at x = i-1.
+    alpha must have n nonnegative int parts summing to n.  Column i
+    receives alpha_i cars stacked in consecutive rows, all cars of column i
+    sitting below all cars of column j for i < j; the support path has an
+    east step per column and alpha_i north steps at x = i-1.
 
     Returns (path, area(alpha), below(alpha)) where area counts the full
     squares between the support path and the lowest diagonal containing
@@ -335,13 +323,18 @@ def nu_alpha(alpha: tuple[int, ...]) -> tuple[SchroederPath, int, int]:
     diagonal.
 
     Cars are read along diagonals y - x = k for k decreasing, right to
-    left within a diagonal; two cars vertically adjacent in the diagram
-    yield a diagonal step (strict edge) between their reading positions,
-    and cars on equal diagonals or on adjacent diagonals with the upper
-    car weakly left of the lower one yield the plain edges.
+    left within a diagonal, at positions 1..n.  A car attacks every later
+    car on its own diagonal and every later car on the next diagonal down
+    that is weakly right of it.  The cars that car v attacks are the run
+    v+1..top (asserted: the diagram is unit-interval); they are the edges
+    of column v, so the path rises to height top and steps east, or, when
+    car top sits directly below car v (a strict edge), rises to top - 1
+    and steps diagonally.
     """
     alpha = tuple(alpha)
     n = len(alpha)
+    if not all(part.__class__ is int and part >= 0 for part in alpha):
+        raise InvalidArgument(f"{alpha} has a part that is not a nonnegative int")
     if sum(alpha) != n:
         raise SizeMismatch(f"{alpha} must have {n} parts summing to {n}")
     cars: list[tuple[int, int]] = []  # (column, row)
@@ -362,46 +355,19 @@ def nu_alpha(alpha: tuple[int, ...]) -> tuple[SchroederPath, int, int]:
             area_alpha += top - lo + 1
     below = sum(1 for c, r in cars if r < c)
 
-    order = sorted(range(n), key=lambda i: (-(cars[i][1] - cars[i][0]), -cars[i][0]))
-    diag = [cars[i][1] - cars[i][0] for i in order]
-    col = [cars[i][0] for i in order]
-    tops = list(range(n + 1))
-    strict_cols: set[int] = set()
-    for i in range(n):
-        best = i + 1  # 1-based vertex i+1
-        strict_here = False
-        for j in range(i + 1, n):
-            if diag[j] == diag[i]:
-                best = j + 1
-                strict_here = False
-            elif diag[j] == diag[i] - 1 and col[i] <= col[j]:
-                best = j + 1
-                strict_here = col[i] == col[j]
-            elif diag[j] < diag[i] - 1:
-                break
-        tops[i + 1] = best
-        if strict_here:
-            strict_cols.add(i + 1)
-
-    # every attack pair must be part of the contiguous interval [v+1, tops[v]]
-    for i in range(n):
-        for j in range(i + 1, n):
-            attacks = diag[j] == diag[i] or (diag[j] == diag[i] - 1 and col[i] <= col[j])
-            assert attacks == (j + 1 <= tops[i + 1]), "car diagram is not unit-interval"
-
+    order = sorted(cars, key=lambda car: (car[0] - car[1], -car[0]))
+    diag = [r - c for c, r in order]
+    col = [c for c, _ in order]
     word = []
     h = 0
-    for v in range(1, n + 1):
-        target = tops[v]
-        if v in strict_cols:
-            word.append("n" * (target - 1 - h))
-            word.append("d")
-        else:
-            word.append("n" * (target - h))
-            word.append("e")
-        h = target
-    path = SchroederPath("".join(word))
-    return path, area_alpha, below
+    for i in range(n):
+        attacked = [j for j in range(i + 1, n) if diag[j] == diag[i] or (diag[j] == diag[i] - 1 and col[i] <= col[j])]
+        top = i + len(attacked)
+        assert attacked == list(range(i + 1, top + 1)), "car diagram is not unit-interval"
+        strict = top > i and col[top] == col[i]
+        word.append("n" * (top + 1 - strict - h) + ("d" if strict else "e"))
+        h = top + 1
+    return SchroederPath("".join(word)), area_alpha, below
 
 
 def haglund_bounce(path: SchroederPath) -> int:

@@ -157,6 +157,9 @@ class SymFunc:
         return SymFunc.from_canonical(self.basis, out)
 
     def shift_q(self, c: int) -> "SymFunc":
+        """Substitute q -> q + c in every coefficient; c must be an int or a Fraction."""
+        if not isinstance(c, (int, Fraction)):
+            raise InvalidArgument(f"shift {c!r} is not an int or a Fraction")
         return self.map_coeffs(lambda v: v.shift_q(c))
 
     # -- conversions ---------------------------------------------------------

@@ -4,7 +4,8 @@ import pytest
 from fractions import Fraction
 
 from lltpaths.coeffring import CoeffQT
-from lltpaths.errors import NegativeExponentShift, NotDivisible
+from lltpaths.errors import InvalidArgument, NegativeExponentShift, NotDivisible
+from lltpaths.symfunc import SymFunc
 
 Q = CoeffQT.q()
 T = CoeffQT.t()
@@ -62,6 +63,31 @@ def test_shift_q_examples():
     assert (Q * Q - Q).shift_q(1) == Q * Q + Q
     with pytest.raises(NegativeExponentShift):
         CoeffQT.q(-1).shift_q(1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CoeffQT.q(0.5),
+        lambda: CoeffQT.t(1.0),
+        lambda: CoeffQT({(0.5, 0): 1}),
+        lambda: CoeffQT.monomial(1.5),
+        lambda: CoeffQT.monomial(0, Fraction(1, 2)),
+        lambda: Q.shift_q(0.5),
+        lambda: CoeffQT.zero().shift_q(0.5),
+        lambda: SymFunc("e", {(1,): Q}).shift_q(0.5),
+        lambda: SymFunc("e", {}).shift_q(1.0),
+    ],
+)
+def test_a_non_integer_exponent_or_a_float_shift_is_refused(build):
+    # an exponent is never truncated, and a shift stays exact
+    with pytest.raises(InvalidArgument):
+        build()
+
+
+def test_a_rational_shift_stays_exact():
+    assert (Q * Q).shift_q(Fraction(1, 2)) == Q * Q + Q + Fraction(1, 4)
+    assert SymFunc("e", {(1,): Q}).shift_q(Fraction(1, 2)) == SymFunc("e", {(1,): Q + Fraction(1, 2)})
 
 
 def test_shift_q_inverse():

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from lltpaths import harmonics
@@ -103,6 +105,12 @@ def test_hall_littlewood_specializations():
             assert at_one.coeffs == expected, mu
 
 
+@pytest.mark.parametrize("mu", [(2.0, 1), (2, -1), (1, 2)])
+def test_hall_littlewood_refuses_a_malformed_partition(mu):
+    with pytest.raises(InvalidArgument):
+        hall_littlewood(mu)
+
+
 def test_hall_littlewood_prefactor_cancels():
     for n in range(1, 7):
         for mu in partitions_of(n):
@@ -134,3 +142,57 @@ def test_nabla_p_expands_each_path_once_and_equals_the_sum_over_compositions(mon
     assert nabla_p(n) == reference
     assert sorted(calls) == sorted({path.word for path, _, _ in cars})
     assert len(calls) < len(cars)
+
+
+def _q_binomial(n, k):
+    """The Gaussian binomial [n choose k]_q, by [n, k] = [n-1, k-1] + q^k [n-1, k]."""
+    if k < 0 or k > n:
+        return CoeffQT()
+    if k in (0, n):
+        return ONE
+    return _q_binomial(n - 1, k - 1) + Q**k * _q_binomial(n - 1, k)
+
+
+def _qt_catalan(n):
+    """C_n(q,t) by the Garsia-Haglund recursion (Discrete Math. 256, 2002):
+    F_{n,n} = q^C(n,2), F_{n,k} = t^(n-k) q^C(k,2) sum_{r=1}^{n-k} [r+k-1 choose r]_q F_{n-k,r},
+    and C_n = sum_k F_{n,k}."""
+    f = {}
+    for m in range(1, n + 1):
+        for k in range(m, 0, -1):
+            inner = sum((_q_binomial(r + k - 1, r) * f[m - k, r] for r in range(1, m - k + 1)), CoeffQT())
+            f[m, k] = Q ** comb(m, 2) if k == m else T ** (m - k) * Q ** comb(k, 2) * inner
+    return sum((f[n, k] for k in range(1, n + 1)), CoeffQT())
+
+
+def test_qt_catalan_recursion_small():
+    assert _qt_catalan(1) == ONE
+    assert _qt_catalan(2) == Q + T
+    assert _qt_catalan(3) == Q**3 + Q**2 * T + Q * T + Q * T**2 + T**3
+
+
+def _assert_schur_positive_and_qt_symmetric(f):
+    # Haiman (2002): every Schur coefficient lies in N[q,t], and is q <-> t symmetric
+    for lam, c in f.convert("s").coeffs.items():
+        assert all(a >= 0 and b >= 0 and v.__class__ is int and v > 0 for (a, b), v in c.terms.items()), lam
+        assert c == c.swap_qt(), lam
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_nabla_e_is_schur_positive_symmetric_and_its_sign_coefficient_is_the_qt_catalan_number(n):
+    # checks the corner collapse and the bounce statistic without going through
+    # the relations; the s_(1^n) coefficient alone, sum of q^area t^bounce, does
+    # not see which corners collapse, the symmetry does
+    f = nabla_e(n)
+    _assert_schur_positive_and_qt_symmetric(f)
+    assert f.convert("s").coeffs[(1,) * n] == _qt_catalan(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_nabla_p_is_schur_positive_symmetric_and_counts_labelled_square_paths(n):
+    # checks the car-diagram paths: (-1)^(n-1) nabla p_n is Schur positive and
+    # q <-> t symmetric, and at q = t = 1 its x_1...x_n coefficient counts the
+    # n^n labelled square paths (Loehr-Warrington)
+    f = nabla_p(n)
+    _assert_schur_positive_and_qt_symmetric(f)
+    assert sum(f.coefficient("m", (1,) * n).terms.values()) == n**n

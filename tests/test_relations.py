@@ -10,7 +10,7 @@ import pytest
 from lltpaths import clear_caches, relations
 from lltpaths.coeffring import CoeffQT
 from lltpaths.errors import BoundExceeded, InvalidArgument, LLTError, NonTermination
-from lltpaths.llt import chromatic, llt
+from lltpaths.llt import chromatic, llt, llt_via_orientations
 from lltpaths.partitions import DEGREE_BOUND
 from lltpaths.relations import (
     SUITES,
@@ -492,3 +492,30 @@ def test_an_injected_route_runs_once_per_word_of_a_call(name):
     assert calls and set(calls.values()) == {1}, {w: c for w, c in calls.items() if c > 1}
     assert report.to_obj() == SUITES[name](n, llt_fn=corrupted).to_obj()
     assert report.failures
+
+
+@pytest.mark.parametrize("route", [recursion_evaluate, llt_via_orientations], ids=["recursion", "orientations"])
+def test_every_suite_but_chromatic_holds_on_the_recursion_and_orientation_routes(monkeypatch, route):
+    # the relations hold on each route's own values, with the default route's
+    # instance counts; every instance passes packed, so no discrepancy is formed
+    names = [name for name in SUITES if name != "chromatic"]
+    want = {name: [SUITES[name](n).instances for n in range(1, 7)] for name in names}
+    monkeypatch.setattr(relations, "linear_combination", _refuse)
+    for name in names:
+        reports = [SUITES[name](n, llt_fn=route) for n in range(1, 7)]
+        assert all(r.passed for r in reports), name
+        assert [r.instances for r in reports] == want[name], name
+
+
+def test_the_coloring_route_is_multiplicative_in_e():
+    # the evaluator's multiplicativity axiom, G_(PQ) = G_P G_Q, on every
+    # concatenation of two nonempty paths of total size <= 6
+    paths = {n: enumerate_paths(n) for n in range(1, 6)}
+    checked = 0
+    for a in range(1, 6):
+        for b in range(1, 7 - a):
+            for p in paths[a]:
+                for q in paths[b]:
+                    assert llt(parse(p.word + q.word)).convert("e") == llt(p).convert("e") * llt(q).convert("e"), (p.word, q.word)
+                    checked += 1
+    assert checked == 979

@@ -167,6 +167,18 @@ def test_p_mu():
         p_mu(())
 
 
+@pytest.mark.parametrize("mu", [(2.0, 1), (2, 1.0), (3, 0), (2, -1), (True,), (1, 2)])
+def test_p_mu_refuses_a_part_that_is_not_a_positive_int(mu):
+    with pytest.raises(InvalidArgument):
+        p_mu(mu)
+
+
+@pytest.mark.parametrize("alpha", [(2, -1, 2), (3, -1, 1), (1.0, 1), (2, 0.0), (True, 1)])
+def test_nu_alpha_refuses_a_part_that_is_not_a_nonnegative_int(alpha):
+    with pytest.raises(InvalidArgument):
+        nu_alpha(alpha)
+
+
 def test_nu_alpha_worked_example():
     path, area_alpha, below = nu_alpha((0, 3, 1, 0, 2, 0))
     assert path.word == "nnndedede"
