@@ -28,7 +28,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from . import harmonics
 from .errors import LLTError
 from .llt import chromatic, llt, llt_via_orientations, orientation_e_expansion
-from .partitions import DEGREE_BOUND, partitions_of
+from .partitions import DEGREE_BOUND, check_size, partitions_of
 from .relations import SUITES, all_suites, recursion_evaluate
 from .schroeder import SIZE_BOUND, area, enumerate_paths, graph, parse
 from .schur import elw_schur, kostka_schur
@@ -95,14 +95,6 @@ def _write_json(o, newline: str, out) -> None:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
-def _check_size(n: int, args) -> None:
-    """Refuse a negative size, or one above the --unsafe-max-n limit, before any work starts."""
-    if n < 0:
-        raise LLTError(f"size {n} is negative")
-    if n > args.unsafe_max_n:
-        raise LLTError(f"size {n} exceeds the limit; raise --unsafe-max-n")
-
-
 def _cmd_paths(args):
     paths = enumerate_paths(args.n, dyck_only=args.dyck, bound=args.unsafe_max_n)
     result = {
@@ -116,7 +108,6 @@ def _cmd_paths(args):
 
 def _cmd_expand(args):
     path = parse(args.word)
-    _check_size(path.size, args)
     if args.method == "colorings":
         f = llt(path, bound=args.unsafe_max_n)
     elif args.method == "orientations":
@@ -138,7 +129,7 @@ def _cmd_expand(args):
 
 
 def _cmd_equality(args):
-    _check_size(args.max_n, args)
+    check_size(args.max_n, args.unsafe_max_n)
     failures = []
     total = 0
     for n in range(1, args.max_n + 1):
@@ -154,7 +145,7 @@ def _cmd_equality(args):
 
 
 def _cmd_verify(args):
-    _check_size(args.max_n, args)
+    check_size(args.max_n, args.unsafe_max_n)
     sizes = range(1, args.max_n + 1)
     if args.suite == "all":
         reports = [rep for n in sizes for rep in all_suites(n, bound=args.unsafe_max_n)]

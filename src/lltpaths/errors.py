@@ -42,7 +42,7 @@ class DiagonalOnMainDiagonal(InvalidPath):
 
 
 class InvalidArgument(LLTError, ValueError):
-    """An argument outside a function's domain: a malformed partition or a negative size."""
+    """An argument outside a function's domain: a malformed partition, or a size that is not a nonnegative int."""
 
 
 class PointNotOnPath(LLTError):

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .coeffring import ZERO, CoeffQT
-from .errors import BoundExceeded, InvalidArgument, NotDivisible
+from .errors import InvalidArgument, NotDivisible
 from .llt import llt, orientation_e_expansion
-from .partitions import weak_compositions
+from .partitions import check_size, weak_compositions
 from .schroeder import SIZE_BOUND, dyck_star, enumerate_paths, haglund_bounce, nu_alpha, p_mu, parse
 from .symfunc import SymFunc, linear_combination
 
@@ -27,12 +27,8 @@ def nabla_e(n: int, bound: int = SIZE_BOUND) -> SymFunc:
     """The Frobenius series of diagonal coinvariants via the corner-collapse sum.
 
     q is carried by the path polynomials, t by the bounce weight; the
-    result is returned in the e-basis.
+    result is returned in the e-basis.  `enumerate_paths` checks n first.
     """
-    if n < 0:
-        raise InvalidArgument(f"nabla_e needs n >= 0, got {n}")
-    if n > bound:
-        raise BoundExceeded(f"nabla_e({n}) exceeds bound {bound}")
     # conversion is linear and exact, so sum in m and convert the sum once
     return linear_combination(
         "m",
@@ -45,8 +41,7 @@ def nabla_e(n: int, bound: int = SIZE_BOUND) -> SymFunc:
 
 def nabla_p(n: int, bound: int = SIZE_BOUND) -> SymFunc:
     """The sign-normalized square-paths sum (-1)^(n-1) nabla p_n, in the Schur basis."""
-    if n > bound:
-        raise BoundExceeded(f"nabla_p({n}) exceeds bound {bound}")
+    check_size(n, bound)
     if n < 1:
         raise InvalidArgument(f"nabla_p needs n >= 1, got {n}")
     # many compositions share a path: add their weights, then expand each path once
@@ -62,11 +57,9 @@ def hall_littlewood(mu: tuple[int, ...], bound: int = SIZE_BOUND) -> SymFunc:
 
     Computed as q^{-sum_{i>=2} C(mu_i,2)} omega(G_{P_mu}); the prefactor
     must cancel exactly, otherwise the staircase-path construction is
-    broken and NotDivisible propagates.
+    broken and NotDivisible propagates.  `p_mu` and `llt` check mu and |mu| first.
     """
     mu = tuple(mu)
-    if sum(mu) > bound:
-        raise BoundExceeded(f"|mu| = {sum(mu)} exceeds bound {bound}")
     g = llt(p_mu(mu), bound)
     flipped = g.omega()
     shift = sum(comb(part, 2) for part in mu[1:])
@@ -157,10 +150,7 @@ def survey_e_coefficients(max_n: int, bound: int = SIZE_BOUND) -> SurveyReport:
     A conjectural property failing shows up as a False flag in the
     report, never as an exception.
     """
-    if max_n < 0:
-        raise InvalidArgument(f"survey needs max_n >= 0, got {max_n}")
-    if max_n > bound:
-        raise BoundExceeded(f"survey up to {max_n} exceeds bound {bound}")
+    check_size(max_n, bound)
     report = SurveyReport(max_n)
     for n in range(1, max_n + 1):
         for path in enumerate_paths(n, bound=bound):

@@ -92,7 +92,7 @@ from typing import Callable
 from . import memo
 from .coeffring import CoeffQT
 from .errors import BoundExceeded, HasDiagonal, InvalidArgument, InvalidColoring, SizeMismatch
-from .partitions import DEGREE_BOUND, partition_slots, partitions_of
+from .partitions import DEGREE_BOUND, check_size, partition_slots, partitions_of
 from .schroeder import SIZE_BOUND, DecoratedGraph, SchroederPath, area, graph
 from .symfunc import SymFunc
 
@@ -315,11 +315,12 @@ def _shape_value(word: str, n: int, values: dict[str, int], layout, proper: bool
 
 
 def _coloring_sum(path: SchroederPath, bound: int, proper: bool) -> SymFunc:
-    """The coloring sum of the path in the m-basis, from the shared shape values under its bound."""
+    """The coloring sum of the path in the m-basis, from the shared shape values under its bound.
+
+    The caller has checked the size against the bound (`check_size`).
+    """
     n = path.size
     b = min(bound, DEGREE_BOUND)
-    if n > b:
-        raise BoundExceeded(f"the coloring sum on size {n} exceeds the degree bound {DEGREE_BOUND}")
     layout = _layout(b)
     values = _SHAPE_VALUES.get((b, proper))
     if values is None:
@@ -341,9 +342,7 @@ def llt(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     and so on); colors beyond [n] never occur since the function is
     homogeneous of degree n.
     """
-    n = path.size
-    if n > bound:
-        raise BoundExceeded(f"llt on size {n} exceeds bound {bound}")
+    check_size(path.size, bound)
     return _coloring_sum(path, bound, proper=False)
 
 
@@ -355,8 +354,7 @@ def content_coefficient(path: SchroederPath, content: tuple[int, ...], bound: in
     a size above `bound` is refused before any work, and so is a content
     with a part that is not a nonnegative int, or of another size.
     """
-    if path.size > bound:
-        raise BoundExceeded(f"content_coefficient on size {path.size} exceeds bound {bound}")
+    check_size(path.size, bound)
     if any(not isinstance(c, int) or c < 0 for c in content):
         raise InvalidArgument(f"content {content} has a part that is not a nonnegative int")
     if sum(content) != path.size:
@@ -554,9 +552,7 @@ def orientation_e_expansion(path: SchroederPath, bound: int = SIZE_BOUND) -> Sym
     This is the e-positive expansion of the coloring sum with q shifted
     by one: it equals llt(path) after the substitution q -> q+1.
     """
-    n = path.size
-    if n > bound:
-        raise BoundExceeded(f"orientation_e_expansion on size {n} exceeds bound {bound}")
+    check_size(path.size, bound)
     return SymFunc.from_canonical("e", _orientation_tally(path))
 
 
@@ -571,9 +567,7 @@ def chromatic(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     Proper colorings (adjacent colors distinct) weighted by the same
     ascent statistic as the coloring sum, returned in the m-basis.
     """
-    n = path.size
-    if n > bound:
-        raise BoundExceeded(f"chromatic on size {n} exceeds bound {bound}")
+    check_size(path.size, bound)
     if not path.is_dyck():
         raise HasDiagonal(f"{path.word!r} has diagonal steps")
     return _coloring_sum(path, bound, proper=True)
@@ -590,8 +584,7 @@ def coloring_weight_split(path: SchroederPath, x: int, bound: int = SIZE_BOUND):
     before any work.
     """
     n = path.size
-    if n > bound:
-        raise BoundExceeded(f"coloring_weight_split on size {n} exceeds bound {bound}")
+    check_size(n, bound)
     if not 1 <= x < n:
         raise InvalidArgument(f"coloring_weight_split needs 1 <= x < {n}, got x = {x}")
     y = x + 1

@@ -15,7 +15,7 @@ from .errors import BoundExceeded, InvalidArgument, SizeMismatch
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
 
-#: Largest degree the enumerative helpers accept by default.
+#: Largest degree the algebra holds, and so the largest size any computation accepts.
 DEGREE_BOUND = 12
 
 _PARTITIONS_CACHE: dict[int, tuple[Partition, ...]] = memo.table("_PARTITIONS_CACHE")
@@ -30,12 +30,22 @@ def is_partition(parts) -> bool:
     )
 
 
-def partitions_of(n: int, bound: int = DEGREE_BOUND) -> list[Partition]:
-    """All partitions of n in reverse-lexicographic order: (n) first, (1^n) last."""
-    if n < 0:
-        raise InvalidArgument(f"partitions_of needs n >= 0, got {n}")
-    if n > bound:
-        raise BoundExceeded(f"partitions_of({n}) exceeds bound {bound}")
+def check_size(n: int, bound: int = DEGREE_BOUND) -> None:
+    """The one size guard, called before any work: a size that is not an int
+    or is negative raises InvalidArgument, one above `bound` or above
+    DEGREE_BOUND raises BoundExceeded."""
+    if n.__class__ is not int or n < 0:
+        raise InvalidArgument(f"size {n!r} is not a nonnegative int")
+    if n > bound or n > DEGREE_BOUND:
+        raise BoundExceeded(f"size {n} exceeds the limit {min(bound, DEGREE_BOUND)}")
+
+
+def partitions_of(n: int) -> list[Partition]:
+    """All partitions of n in reverse-lexicographic order: (n) first, (1^n) last.
+
+    A size above DEGREE_BOUND is refused by `check_size`.
+    """
+    check_size(n)
     cached = _PARTITIONS_CACHE.get(n)
     if cached is None:
         out: list[Partition] = []
@@ -152,8 +162,8 @@ def weak_compositions(n: int, k: int) -> list[Composition]:
     Ordered with the first part decreasing, matching the output of the
     recursive generation.
     """
-    if n < 0 or k < 0:
-        raise InvalidArgument(f"weak_compositions needs n, k >= 0, got {n}, {k}")
+    check_size(n)
+    check_size(k)
     if k == 0:
         return [()] if n == 0 else []
     if k == 1:
@@ -167,8 +177,7 @@ def weak_compositions(n: int, k: int) -> list[Composition]:
 
 def compositions(n: int) -> list[Composition]:
     """All compositions of n into positive parts."""
-    if n < 0:
-        raise InvalidArgument(f"compositions needs n >= 0, got {n}")
+    check_size(n)
     if n == 0:
         return [()]
     out = []

@@ -63,9 +63,10 @@ bounceA, bounceB, bounceND, generalized and extended are one scope each;
 dual is bounceA, bounceND and generalized (which share no instance), one
 after the other, with every path reversed.  s3 s4 is always the pair of
 steps around the start point, so the walk runs ``bounce_at`` only where
-those steps are de or ee.  Every suite refuses a size above its ``bound``
-(default ``SIZE_BOUND``) before any work and passes the bound on to its
-routes.
+those steps are de or ee.  Every suite checks its size with
+``partitions.check_size`` before any work, so it refuses a size above its
+``bound`` (default ``SIZE_BOUND``) or above ``DEGREE_BOUND``, and passes
+the bound on to its routes.
 
 ``recursion_evaluate`` computes the same symmetric functions from the
 axioms alone: the initial condition on n d^k e, multiplicativity at
@@ -95,7 +96,7 @@ F(q) is the sum over orientations theta of (q-1)^asc(theta)
 e_lambda(theta), over the 2^a orientations of the a non-strict edges, and
 asc(theta) <= a.  So the q^j e_lam coefficient is at most the sum over
 theta of binom(asc(theta), j) <= 2^asc(theta), which is 3^a, in absolute
-value.  Also a <= C(n, 2), and the evaluator refuses sizes above
+value.  Also a <= C(n, 2), and ``check_size`` refuses sizes above
 DEGREE_BOUND, so every stored coefficient is below 3^C(12, 2) = 3^66 <
 2^105, one signed digit of _WIDTH = 106 bits.  Packing is a ring
 homomorphism Z[q] -> Z, so a sum on the way may exceed the bound; only
@@ -110,9 +111,9 @@ from typing import Callable, Iterator
 
 from . import memo
 from .coeffring import CoeffQT
-from .errors import BoundExceeded, InvalidArgument, NonTermination
+from .errors import InvalidArgument, NonTermination
 from .llt import chromatic, llt
-from .partitions import DEGREE_BOUND, Partition, compositions, partitions_of
+from .partitions import DEGREE_BOUND, Partition, check_size, compositions, partitions_of
 from .schroeder import (
     SIZE_BOUND,
     BounceData,
@@ -192,13 +193,12 @@ class RelationReport:
 class _Suite:
     """One suite call at size n: its report, its route, and the packed check of its instances.
 
-    A size above `bound` is refused before any work.  `route` names the
+    `check_size` refuses the size before any work.  `route` names the
     default route ("llt" or "chromatic"), which `llt_fn` replaces if given.
     """
 
     def __init__(self, name: str, n: int, llt_fn: LltFn | None, route: str, bound: int):
-        if n > bound:
-            raise BoundExceeded(f"size {n} exceeds bound {bound}")
+        check_size(n, bound)
         self.report = RelationReport(name)
         self.route = route
         if llt_fn is None:
@@ -209,7 +209,7 @@ class _Suite:
         else:
             self.fn, self.basis, self.values = llt_fn, None, {}
         self.exact: dict[str, SymFunc] = {}  # word -> value, see `value`
-        partitions = partitions_of(n, bound=n)
+        partitions = partitions_of(n)
         self.slots = {lam: i for i, lam in enumerate(partitions)}
         self.width = factorial(n).bit_length() + 4
         self.step = self.width * len(partitions)  # the shift that multiplies by q
@@ -518,11 +518,10 @@ def all_suites(n: int, bound: int = SIZE_BOUND) -> list[RelationReport]:
 def dyck_path_graph_formula(k: int, bound: int = SIZE_BOUND) -> SymFunc:
     """e-expansion of the polynomial of the path graph n (ne)^k e on k+1 vertices:
     the sum of (q-1)^(k+1-l(alpha)) e_alpha over compositions alpha of k+1.
-    `bound` limits the path size k+1; a negative k is refused before any work."""
+    A negative k, or a path size k+1 that `check_size` refuses, is refused before any work."""
     if k < 0:
         raise InvalidArgument(f"dyck_path_graph_formula needs k >= 0, got {k}")
-    if k + 1 > bound:
-        raise BoundExceeded(f"path graph on size {k + 1} exceeds bound {bound}")
+    check_size(k + 1, bound)
     return linear_combination(
         "e",
         [((Q - 1) ** (k + 1 - len(alpha)), {tuple(sorted(alpha, reverse=True)): 1}) for alpha in compositions(k + 1)],
@@ -541,19 +540,15 @@ def recursion_evaluate(path: SchroederPath | str, bound: int = SIZE_BOUND) -> Sy
     a repeated call returns as it is.  Both forms share their ints and
     coefficients with every entry of equal value, through the evaluator's
     intern table (`_RECURSION_COEFFS`); they are never changed in place.
-    A size above `bound`, or above `DEGREE_BOUND` (the largest size `_WIDTH`
-    holds), is refused before any work.  The evaluator recurses within the
-    interpreter's default recursion limit (a cold size-12 path goes 68
-    levels deep) and leaves that limit alone; a rule cycle raises
+    `check_size` refuses a size above `bound`, or above `DEGREE_BOUND` (the
+    largest size `_WIDTH` holds), before any work.  The evaluator recurses
+    within the interpreter's default recursion limit (a cold size-12 path
+    goes 68 levels deep) and leaves that limit alone; a rule cycle raises
     NonTermination at depth 200, before the interpreter's limit is reached.
     """
     if isinstance(path, str):
         path = parse(path)
-    n = path.size
-    if n > bound:
-        raise BoundExceeded(f"size {n} exceeds bound {bound}")
-    if n > DEGREE_BOUND:
-        raise BoundExceeded(f"size {n} exceeds {DEGREE_BOUND}, the largest size the packed width holds")
+    check_size(path.size, bound)
     entry = _RECURSION_CACHE.get(path.word)  # a hit is this one lookup
     if entry is None:
         entry = _evaluate(path.word, 0)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .errors import (
     BelowDiagonal,
-    BoundExceeded,
     DiagonalOnMainDiagonal,
     HasDiagonal,
     InvalidArgument,
@@ -24,11 +23,12 @@ from .errors import (
     PointNotOnPath,
     SizeMismatch,
 )
+from .partitions import check_size
 
 Point = tuple[int, int]
 
 # The default size limit of every computation over paths; each one takes a
-# `bound` parameter to lift it (the CLI's --unsafe-max-n).
+# `bound` parameter to lift it (the CLI's --unsafe-max-n), up to DEGREE_BOUND.
 SIZE_BOUND = 7
 
 
@@ -167,11 +167,8 @@ def parse(text: str) -> SchroederPath:
 
 
 def enumerate_paths(n: int, dyck_only: bool = False, bound: int = SIZE_BOUND) -> list[SchroederPath]:
-    """All Schroeder paths of size n, sorted by word (so deterministic)."""
-    if n < 0:
-        raise InvalidArgument(f"enumerate_paths needs n >= 0, got {n}")
-    if n > bound:
-        raise BoundExceeded(f"enumerate_paths({n}) exceeds bound {bound}")
+    """All Schroeder paths of size n, sorted by word (so deterministic); `check_size` guards n."""
+    check_size(n, bound)
     words: list[str] = []
     steps = "ne" if dyck_only else "nde"
 
@@ -296,11 +293,12 @@ def dyck_star(path: SchroederPath) -> SchroederPath:
 def p_mu(mu: tuple[int, ...]) -> SchroederPath:
     """The staircase path P_mu = n^m1 (e^(m_(i-1)-m_i) d^m_i for i = 2..l) e^ml, of size |mu|.
 
-    For mu = (m) this is n^m e^m.  Parts must be positive ints.
+    For mu = (m) this is n^m e^m.  Parts must be positive ints, and |mu| at most DEGREE_BOUND.
     """
     mu = tuple(mu)
     if not mu or not all(part.__class__ is int and part >= 1 for part in mu) or list(mu) != sorted(mu, reverse=True):
         raise InvalidArgument(f"{mu} is not a nonempty partition")
+    check_size(sum(mu))
     word = ["n" * mu[0]]
     for i in range(1, len(mu)):
         word.append("e" * (mu[i - 1] - mu[i]) + "d" * mu[i])
@@ -311,10 +309,11 @@ def p_mu(mu: tuple[int, ...]) -> SchroederPath:
 def nu_alpha(alpha: tuple[int, ...]) -> tuple[SchroederPath, int, int]:
     """Car diagram of a weak composition alpha and its Schroeder path nu(alpha).
 
-    alpha must have n nonnegative int parts summing to n.  Column i
-    receives alpha_i cars stacked in consecutive rows, all cars of column i
-    sitting below all cars of column j for i < j; the support path has an
-    east step per column and alpha_i north steps at x = i-1.
+    alpha must have n <= DEGREE_BOUND nonnegative int parts summing to n
+    (alpha = () gives the empty path).  Column i receives alpha_i cars
+    stacked in consecutive rows, all cars of column i sitting below all
+    cars of column j for i < j; the support path has an east step per
+    column and alpha_i north steps at x = i-1.
 
     Returns (path, area(alpha), below(alpha)) where area counts the full
     squares between the support path and the lowest diagonal containing
@@ -335,6 +334,7 @@ def nu_alpha(alpha: tuple[int, ...]) -> tuple[SchroederPath, int, int]:
     n = len(alpha)
     if not all(part.__class__ is int and part >= 0 for part in alpha):
         raise InvalidArgument(f"{alpha} has a part that is not a nonnegative int")
+    check_size(n)
     if sum(alpha) != n:
         raise SizeMismatch(f"{alpha} must have {n} parts summing to {n}")
     cars: list[tuple[int, int]] = []  # (column, row)
@@ -343,7 +343,7 @@ def nu_alpha(alpha: tuple[int, ...]) -> tuple[SchroederPath, int, int]:
         for _ in range(count):
             row += 1
             cars.append((col, row))
-    k_min = min(r - c for c, r in cars)
+    k_min = min((r - c for c, r in cars), default=0)  # no cars: the empty path
     heights = [0] * (n + 1)
     for c in range(1, n + 1):
         heights[c] = heights[c - 1] + alpha[c - 1]

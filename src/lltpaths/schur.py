@@ -21,9 +21,8 @@ basis; that triple agreement is an acceptance criterion.
 from __future__ import annotations
 
 from .coeffring import CoeffQT
-from .errors import BoundExceeded
 from .llt import _lower_neighbors, coloring_backtrack, llt_via_orientations
-from .partitions import conjugate, kostka, partitions_of
+from .partitions import check_size, conjugate, kostka, partitions_of
 from .schroeder import SIZE_BOUND, SchroederPath
 from .symfunc import SymFunc, linear_combination, straighten_schur
 
@@ -69,9 +68,7 @@ def alpha_of_sigma(sigma: tuple[int, ...]) -> tuple[int, ...]:
 
 def elw_schur(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
     """Signed Schur expansion through permutation colorings and straightening."""
-    n = path.size
-    if n > bound:
-        raise BoundExceeded(f"size {n} exceeds bound {bound}")
+    check_size(path.size, bound)
     terms = []
     for sigma, asc in _permutations_with_ascents(path):
         straightened = straighten_schur(alpha_of_sigma(sigma))
@@ -82,14 +79,14 @@ def elw_schur(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
 
 
 def kostka_schur(path: SchroederPath, bound: int = SIZE_BOUND) -> SymFunc:
-    """Signed Schur expansion through orientations and Kostka numbers."""
-    n = path.size
-    if n > bound:
-        raise BoundExceeded(f"size {n} exceeds bound {bound}")
+    """Signed Schur expansion through orientations and Kostka numbers.
+
+    The orientation route checks the size first, before any work.
+    """
     return linear_combination(
         "s",
         [
-            (weight, {mu: k for mu in partitions_of(n) if (k := kostka(conjugate(mu), lam))})
+            (weight, {mu: k for mu in partitions_of(path.size) if (k := kostka(conjugate(mu), lam))})
             for lam, weight in llt_via_orientations(path, bound).coeffs.items()
         ],
     )

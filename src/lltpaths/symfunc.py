@@ -44,13 +44,7 @@ from typing import Callable, Iterable, Mapping, Union
 from . import memo
 from .coeffring import ZERO, CoeffQT, Exponents, Rational, _div
 from .errors import InvalidArgument, LLTError, NotDivisible
-from .partitions import (
-    DEGREE_BOUND,
-    Partition,
-    is_partition,
-    kostka,
-    partitions_of,
-)
+from .partitions import Partition, is_partition, kostka, partitions_of
 
 BASES = ("m", "e", "h", "p", "s")
 
@@ -472,15 +466,14 @@ def _transition(basis: str, d: int):
     Returns (to_m, from_m, den): to_m[lam] is the m-expansion of b_lam and
     from_m[mu] / den the expansion of m_mu in the basis, each row a sparse
     {partition: int} map and den the least common denominator of the
-    inverse (1 for e, h and s).  Cache inserts are idempotent, so
-    concurrent construction is harmless.
+    inverse (1 for e, h and s).  `partitions_of` refuses a degree above
+    DEGREE_BOUND.  Cache inserts are idempotent, so concurrent
+    construction is harmless.
     """
     key = (basis, d)
     cached = _TRANSITION_CACHE.get(key)
     if cached is not None:
         return cached
-    if d > DEGREE_BOUND:
-        raise LLTError(f"degree {d} exceeds the global bound {DEGREE_BOUND}")
     parts = partitions_of(d)
     index = {lam: i for i, lam in enumerate(parts)}
     mat = []

@@ -105,7 +105,7 @@ def test_hall_littlewood_specializations():
             assert at_one.coeffs == expected, mu
 
 
-@pytest.mark.parametrize("mu", [(2.0, 1), (2, -1), (1, 2)])
+@pytest.mark.parametrize("mu", [(2.0, 1), (2, -1), (1, 2), ("a",)])
 def test_hall_littlewood_refuses_a_malformed_partition(mu):
     with pytest.raises(InvalidArgument):
         hall_littlewood(mu)

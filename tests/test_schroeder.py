@@ -179,6 +179,12 @@ def test_nu_alpha_refuses_a_part_that_is_not_a_nonnegative_int(alpha):
         nu_alpha(alpha)
 
 
+def test_nu_alpha_of_the_empty_composition_is_the_empty_path():
+    # the one weak composition of 0 into 0 parts, as enumerate_paths(0) has the one empty path
+    assert nu_alpha(()) == (parse(""), 0, 0)
+    assert enumerate_paths(0) == [parse("")]
+
+
 def test_nu_alpha_worked_example():
     path, area_alpha, below = nu_alpha((0, 3, 1, 0, 2, 0))
     assert path.word == "nnndedede"
