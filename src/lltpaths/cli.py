@@ -13,8 +13,9 @@ text), which `print` joins with spaces.  `main` alone renders them, in
 human mode only, so a `--json` request never formats a polynomial; it
 prints the JSON document or the human lines (then, in human mode, the
 failure report as one JSON line) and chooses the exit code.
-Handlers call library functions by their names in this module's globals,
-looked up at call time, so rebinding a name here reaches every request.
+Handlers reach every route through `relations.ROUTES`, and other library
+functions by their names here, both looked up at call time: replacing a
+`ROUTES` entry or rebinding a name here reaches every request.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import harmonics
 from .errors import LLTError
-from .llt import chromatic, llt, llt_via_orientations, orientation_e_expansion
+from .llt import orientation_e_expansion
 from .partitions import DEGREE_BOUND, check_size, partitions_of
-from .relations import SUITES, all_suites, recursion_evaluate
+from .relations import ROUTES, SUITES, all_suites
 from .schroeder import SIZE_BOUND, area, enumerate_paths, graph, parse
 from .schur import elw_schur, kostka_schur
 
@@ -108,18 +109,13 @@ def _cmd_paths(args):
 
 def _cmd_expand(args):
     path = parse(args.word)
-    if args.method == "colorings":
-        f = llt(path, bound=args.unsafe_max_n)
-    elif args.method == "orientations":
-        f = llt_via_orientations(path, bound=args.unsafe_max_n)
-    else:
-        f = recursion_evaluate(path, bound=args.unsafe_max_n)
+    f = ROUTES[args.method](path, args.unsafe_max_n)
     out = f.convert(args.basis)
     if args.shift_q:
         out = out.shift_q(args.shift_q)
     result = out.to_obj()
     if args.witness:
-        by_content = (f if args.method == "colorings" else llt(path, bound=args.unsafe_max_n)).coeffs
+        by_content = (f if args.method == "colorings" else ROUTES["colorings"](path, args.unsafe_max_n)).coeffs
         result["witness"] = {
             "graph": graph(path).to_obj(),
             "colorings_by_content": {str(list(lam)): str(by_content.get(lam, 0)) for lam in partitions_of(path.size)},
@@ -135,7 +131,7 @@ def _cmd_equality(args):
     for n in range(1, args.max_n + 1):
         for p in enumerate_paths(n, bound=args.unsafe_max_n):
             total += 1
-            lhs = llt(p, args.unsafe_max_n).shift_q(1).convert("e")
+            lhs = ROUTES["colorings"](p, args.unsafe_max_n).shift_q(1).convert("e")
             discrepancy = lhs - orientation_e_expansion(p, args.unsafe_max_n)
             if not discrepancy.is_zero():
                 failures.append({"path": p.word, "discrepancy": discrepancy.to_obj()})
@@ -179,7 +175,7 @@ def _cmd_schur(args):
     elif args.method == "kostka":
         f = kostka_schur(path, args.unsafe_max_n)
     else:
-        f = llt(path, args.unsafe_max_n).convert("s")
+        f = ROUTES["colorings"](path, args.unsafe_max_n).convert("s")
     return f.to_obj(), [(f,)], None
 
 
@@ -199,7 +195,7 @@ def _cmd_hl(args):
 
 
 def _cmd_chromatic(args):
-    f = chromatic(parse(args.word), args.unsafe_max_n).convert("e")
+    f = ROUTES["chromatic"](parse(args.word), args.unsafe_max_n).convert("e")
     return f.to_obj(), [(f,)], None
 
 
@@ -244,11 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("--basis", choices=["m", "e", "h", "p", "s"], default="e")
     p.add_argument("--shift-q", type=int, default=0, dest="shift_q")
-    p.add_argument(
-        "--method",
-        choices=["colorings", "orientations", "recursion"],
-        default="colorings",
-    )
+    p.add_argument("--method", choices=[name for name in ROUTES if name != "chromatic"], default="colorings")
     p.set_defaults(handler=_cmd_expand)
 
     p = sub.add_parser("equality", parents=[common], help="sweep the coloring/orientation identity")

@@ -57,10 +57,10 @@ def hall_littlewood(mu: tuple[int, ...], bound: int = SIZE_BOUND) -> SymFunc:
 
     Computed as q^{-sum_{i>=2} C(mu_i,2)} omega(G_{P_mu}); the prefactor
     must cancel exactly, otherwise the staircase-path construction is
-    broken and NotDivisible propagates.  `p_mu` and `llt` check mu and |mu| first.
+    broken and NotDivisible propagates.  `p_mu` checks mu, and |mu| against `bound`, first.
     """
     mu = tuple(mu)
-    g = llt(p_mu(mu), bound)
+    g = llt(p_mu(mu, bound), bound)
     flipped = g.omega()
     shift = sum(comb(part, 2) for part in mu[1:])
     prefactor = CoeffQT.q(shift)

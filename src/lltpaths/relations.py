@@ -42,10 +42,9 @@ packing.  The chromatic suite's products and initial condition are
 counted and recorded by the same ``_Suite.record``.
 
 The default routes' packed values are kept in ``_PACKED_VALUES``, keyed
-by (route, word) and filled through the public ``llt`` and ``chromatic``
-with the suite's bound; every suite of a sweep reads them there.  ``llt``
-keeps no value of its own, so that int is the one copy of a default
-value.  An injected ``llt_fn`` packs into a table local to the call.  The
+by (route, word) and filled through ``ROUTES`` with the suite's bound;
+every suite of a sweep reads them there.  ``llt`` keeps no value of its
+own, so that int is the one copy of a default value.  An injected ``llt_fn`` packs into a table local to the call.  The
 values a call forms exactly (a failing or unpackable instance, the
 chromatic suite's products and initial condition), and every value of an
 injected route, are kept in a dict local to the call (``_Suite.value``),
@@ -112,7 +111,7 @@ from typing import Callable, Iterator
 from . import memo
 from .coeffring import CoeffQT
 from .errors import InvalidArgument, NonTermination
-from .llt import chromatic, llt
+from .llt import chromatic, llt, llt_via_orientations
 from .partitions import DEGREE_BOUND, Partition, check_size, compositions, partitions_of
 from .schroeder import (
     SIZE_BOUND,
@@ -193,8 +192,8 @@ class RelationReport:
 class _Suite:
     """One suite call at size n: its report, its route, and the packed check of its instances.
 
-    `check_size` refuses the size before any work.  `route` names the
-    default route ("llt" or "chromatic"), which `llt_fn` replaces if given.
+    `check_size` refuses the size before any work.  `route`, a `ROUTES`
+    key, names the default route, which `llt_fn` replaces if given.
     """
 
     def __init__(self, name: str, n: int, llt_fn: LltFn | None, route: str, bound: int):
@@ -202,8 +201,7 @@ class _Suite:
         self.report = RelationReport(name)
         self.route = route
         if llt_fn is None:
-            default = llt if route == "llt" else chromatic
-            self.fn: LltFn = lambda p: default(p, bound)
+            self.fn: LltFn = lambda p: ROUTES[route](p, bound)
             self.basis: str | None = "m"
             self.values: dict[tuple[str, str], int | None] = _PACKED_VALUES
         else:
@@ -286,7 +284,7 @@ class _Suite:
 
 def verify_unicellular(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """F_{U n e V} - F_{U e n V} = (q - 1) F_{U d V} over all U d V of size n."""
-    suite = _Suite("unicellular", n, llt_fn, "llt", bound)
+    suite = _Suite("unicellular", n, llt_fn, "colorings", bound)
     for p in enumerate_paths(n, bound=bound):
         word = p.word
         for i, step in enumerate(word):
@@ -374,7 +372,7 @@ def _bounce_suite(name: str, n: int, scopes: tuple[str, ...], reverse_paths: boo
 
     With `reverse_paths`, every path of every instance is reversed.
     """
-    suite = _Suite(name, n, llt_fn, "llt", bound)
+    suite = _Suite(name, n, llt_fn, "colorings", bound)
     flip = (lambda word: reverse(parse(word)).word) if reverse_paths else (lambda word: word)
     for scope in scopes:
         for word, point, decomposition in _bounce_instances(n, scope, bound):
@@ -452,7 +450,7 @@ def _modular_instances(n: int, dyck_only: bool, bound: int) -> Iterator[tuple[st
 
 def verify_dyck_relations(n: int, llt_fn: LltFn | None = None, bound: int = SIZE_BOUND) -> RelationReport:
     """The modular relation and the six-term relation on all admissible points."""
-    suite = _Suite("dyck", n, llt_fn, "llt", bound)
+    suite = _Suite("dyck", n, llt_fn, "colorings", bound)
     for _word, point, lhs, terms in _modular_instances(n, False, bound):
         suite.check(point, lhs, terms)
     return suite.report
@@ -553,6 +551,16 @@ def recursion_evaluate(path: SchroederPath | str, bound: int = SIZE_BOUND) -> Sy
     if entry is None:
         entry = _evaluate(path.word, 0)
     return entry[1]
+
+
+# The routes by name, each called as route(path, bound): the three to G_P, then the chromatic
+# function.  The suites and the CLI look a route up here at call time, and nowhere else.
+ROUTES: dict[str, Callable[[SchroederPath, int], SymFunc]] = {
+    "colorings": llt,
+    "orientations": llt_via_orientations,
+    "recursion": recursion_evaluate,
+    "chromatic": chromatic,
+}
 
 
 def _evaluate(word: str, depth: int) -> Entry:

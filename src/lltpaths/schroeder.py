@@ -23,7 +23,7 @@ from .errors import (
     PointNotOnPath,
     SizeMismatch,
 )
-from .partitions import check_size
+from .partitions import DEGREE_BOUND, check_size
 
 Point = tuple[int, int]
 
@@ -290,15 +290,15 @@ def dyck_star(path: SchroederPath) -> SchroederPath:
     return SchroederPath(path.word.replace("en", "d"))
 
 
-def p_mu(mu: tuple[int, ...]) -> SchroederPath:
+def p_mu(mu: tuple[int, ...], bound: int = DEGREE_BOUND) -> SchroederPath:
     """The staircase path P_mu = n^m1 (e^(m_(i-1)-m_i) d^m_i for i = 2..l) e^ml, of size |mu|.
 
-    For mu = (m) this is n^m e^m.  Parts must be positive ints, and |mu| at most DEGREE_BOUND.
+    For mu = (m) this is n^m e^m.  Parts must be positive ints, and `check_size` refuses |mu| above `bound`.
     """
     mu = tuple(mu)
     if not mu or not all(part.__class__ is int and part >= 1 for part in mu) or list(mu) != sorted(mu, reverse=True):
         raise InvalidArgument(f"{mu} is not a nonempty partition")
-    check_size(sum(mu))
+    check_size(sum(mu), bound)
     word = ["n" * mu[0]]
     for i in range(1, len(mu)):
         word.append("e" * (mu[i - 1] - mu[i]) + "d" * mu[i])

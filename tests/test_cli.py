@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from lltpaths import cli, relations
+from lltpaths import clear_caches, cli, relations
 from lltpaths.cli import main
 from lltpaths.harmonics import hall_littlewood
 from lltpaths.llt import chromatic, llt
@@ -228,10 +228,32 @@ def test_verify_failure_exits_1_with_a_report(capsys, monkeypatch):
 @pytest.mark.parametrize("method", ["colorings", "orientations"])
 def test_expand_witness_runs_the_coloring_dp_once(capsys, monkeypatch, method):
     calls = []
-    monkeypatch.setattr(cli, "llt", lambda path, bound: calls.append(path.word) or llt(path, bound))
+    monkeypatch.setitem(relations.ROUTES, "colorings", lambda path, bound: calls.append(path.word) or llt(path, bound))
     code, out = run(capsys, "expand", "nendnee", "--method", method, "--witness", "--json")
     assert code == 0 and calls == ["nendnee"]
     assert json.loads(out)["result"]["witness"]["colorings_by_content"]["[1, 1, 1, 1]"] == str(llt(parse("nendnee")).coeffs[(1, 1, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "argv, route",
+    [
+        (["expand", "nnee"], "colorings"),
+        (["expand", "nnee", "--method", "orientations"], "orientations"),
+        (["expand", "nnee", "--method", "recursion"], "recursion"),
+        (["equality", "--max-n", "2"], "colorings"),
+        (["schur", "nnee"], "colorings"),
+        (["chromatic", "nnee"], "chromatic"),
+        (["verify", "--suite", "unicellular", "--max-n", "2"], "colorings"),
+        (["verify", "--suite", "chromatic", "--max-n", "2"], "chromatic"),
+    ],
+)
+def test_one_routes_entry_reaches_every_request_that_reads_its_route(capsys, monkeypatch, argv, route):
+    clear_caches()  # a warm packed value would answer a suite without a route call
+    bounds = []
+    original = relations.ROUTES[route]
+    monkeypatch.setitem(relations.ROUTES, route, lambda path, bound: bounds.append(bound) or original(path, bound))
+    assert run(capsys, *argv, "--unsafe-max-n", "6")[0] == 0
+    assert bounds and set(bounds) == {6}
 
 
 def test_expand_witness_counts_orientations_without_enumerating(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from lltpaths import harmonics
 from lltpaths.coeffring import CoeffQT
-from lltpaths.errors import BoundExceeded, InvalidArgument
+from lltpaths.errors import BoundExceeded, InvalidArgument, NotDivisible
 from lltpaths.harmonics import (
     hall_littlewood,
     nabla_e,
@@ -14,7 +14,7 @@ from lltpaths.harmonics import (
 from lltpaths.llt import llt
 from lltpaths.partitions import conjugate, kostka, partitions_of, weak_compositions
 from lltpaths.schroeder import nu_alpha
-from lltpaths.symfunc import linear_combination
+from lltpaths.symfunc import SymFunc, linear_combination
 
 Q = CoeffQT.q()
 T = CoeffQT.t()
@@ -117,6 +117,13 @@ def test_hall_littlewood_prefactor_cancels():
             h = hall_littlewood(mu)
             for c in h.coeffs.values():
                 assert all(eq >= 0 for eq, _ in c.terms), mu
+
+
+def test_hall_littlewood_refuses_a_prefactor_that_does_not_cancel(monkeypatch):
+    # a q^0 term in omega(G_P) cannot carry the prefactor q^-1 of mu = (2, 2)
+    monkeypatch.setattr(harmonics, "llt", lambda path, bound: llt(path, bound) + SymFunc.basis_element("m", (path.size,)))
+    with pytest.raises(NotDivisible, match="did not cancel"):
+        hall_littlewood((2, 2))
 
 
 def test_survey_shape():

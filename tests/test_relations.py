@@ -10,9 +10,10 @@ import pytest
 from lltpaths import clear_caches, relations
 from lltpaths.coeffring import CoeffQT
 from lltpaths.errors import BoundExceeded, InvalidArgument, LLTError, NonTermination
-from lltpaths.llt import chromatic, llt, llt_via_orientations
+from lltpaths.llt import chromatic, llt
 from lltpaths.partitions import DEGREE_BOUND
 from lltpaths.relations import (
+    ROUTES,
     SUITES,
     all_suites,
     dyck_path_graph_formula,
@@ -267,18 +268,20 @@ def test_a_negative_size_is_refused_with_the_package_error_before_work(monkeypat
 def test_suites_pass_their_bound_to_every_route(monkeypatch, name):
     clear_caches()  # a warm value or walk table would call no route at all
     seen = set()
-    for callee in ("enumerate_paths", "llt", "chromatic", "dyck_path_graph_formula"):
-        original = getattr(relations, callee)
+    module = vars(relations)
+    callees = [(module, "enumerate_paths"), (module, "dyck_path_graph_formula")] + [(ROUTES, route) for route in ROUTES]
+    for table, callee in callees:
+        original = table[callee]
         signature = inspect.signature(original)
 
         def recording(*args, callee=callee, original=original, signature=signature, **kwargs):
             seen.add((callee, signature.bind(*args, **kwargs).arguments.get("bound")))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(relations, callee, recording)
+        monkeypatch.setitem(table, callee, recording)
     assert SUITES[name](5, bound=9).passed
     assert {bound for _, bound in seen} == {9}
-    assert ("chromatic" if name == "chromatic" else "llt", 9) in seen
+    assert ("chromatic" if name == "chromatic" else "colorings", 9) in seen
 
 
 def test_dyck_path_graph_formula():
@@ -375,7 +378,7 @@ def _plus(route, extra):
 
 
 def _corruptions(route):
-    """The routes the packed check must agree with the exact one on: the default one and five corruptions."""
+    """The routes the packed check must agree with the exact one on: the default one and six corruptions."""
     return {
         "plain": None,
         "golden in m": _plus(route, _golden_weight),
@@ -384,6 +387,8 @@ def _corruptions(route):
         # (t - 1) e_(n) vanishes at t = 1, so only the t-exponent test sees it
         "t-exponent": _plus(route, lambda p: SymFunc.basis_element("e", (p.size,), CoeffQT.t() - 1)),
         "negative q-exponent": _plus(route, lambda p: SymFunc.basis_element("e", (p.size,), CoeffQT.q(-1))),
+        # a partition of n + 1 has no slot in the layout of size n
+        "another degree": _plus(route, lambda p: SymFunc.basis_element("m", (p.size + 1,))),
     }
 
 
@@ -397,6 +402,7 @@ _CHROMATIC_PINS = {
     "rational": ([1, 2, 5, 15, 49], "bdf380d140d535d4"),
     "t-exponent": ([1, 2, 5, 15, 49], "466f4a3fa44b8dcb"),
     "negative q-exponent": ([1, 2, 5, 15, 49], "a6406742635b8a31"),
+    "another degree": ([1, 2, 5, 15, 49], "0cb0156e4b0354ae"),
 }
 
 
@@ -438,7 +444,7 @@ def test_a_passing_default_suite_forms_no_discrepancy(monkeypatch, name):
 
 def test_a_coefficient_at_the_digit_bound_takes_the_exact_path(monkeypatch):
     n, word = 4, "nndede"  # an instance word of unicellular, bounceA, bounceB and dual at size 4
-    width = relations._Suite("bounceA", n, None, "llt", n).width
+    width = relations._Suite("bounceA", n, None, "colorings", n).width
     limit = 1 << (width - 4)
     assert limit > factorial(n) and 6 * limit < 1 << (width - 1)
     for c, packs in ((limit - 1, True), (1 - limit, True), (limit, False), (-limit, False)):
@@ -450,7 +456,7 @@ def test_a_coefficient_at_the_digit_bound_takes_the_exact_path(monkeypatch):
             coeffs[(n,)] = CoeffQT.from_rational(c)
             return SymFunc("m", coeffs)
 
-        assert (relations._Suite("bounceA", n, route, "llt", n).pack(route(parse(word))) is not None) == packs, c
+        assert (relations._Suite("bounceA", n, route, "colorings", n).pack(route(parse(word))) is not None) == packs, c
         names = ("unicellular", "bounceA", "bounceB", "dual")
         got = [SUITES[name](n, llt_fn=route).to_obj() for name in names]
         with monkeypatch.context() as m:
@@ -494,10 +500,11 @@ def test_an_injected_route_runs_once_per_word_of_a_call(name):
     assert report.failures
 
 
-@pytest.mark.parametrize("route", [recursion_evaluate, llt_via_orientations], ids=["recursion", "orientations"])
-def test_every_suite_but_chromatic_holds_on_the_recursion_and_orientation_routes(monkeypatch, route):
+@pytest.mark.parametrize("route_name", [name for name in ROUTES if name not in ("colorings", "chromatic")])
+def test_every_suite_but_chromatic_holds_on_the_recursion_and_orientation_routes(monkeypatch, route_name):
     # the relations hold on each route's own values, with the default route's
     # instance counts; every instance passes packed, so no discrepancy is formed
+    route = ROUTES[route_name]
     names = [name for name in SUITES if name != "chromatic"]
     want = {name: [SUITES[name](n).instances for n in range(1, 7)] for name in names}
     monkeypatch.setattr(relations, "linear_combination", _refuse)
@@ -505,6 +512,12 @@ def test_every_suite_but_chromatic_holds_on_the_recursion_and_orientation_routes
         reports = [SUITES[name](n, llt_fn=route) for n in range(1, 7)]
         assert all(r.passed for r in reports), name
         assert [r.instances for r in reports] == want[name], name
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_every_route_gives_the_empty_path_the_value_one(route):
+    clear_caches()  # the evaluator's memo would answer without its empty-word rule
+    assert ROUTES[route](parse("")).convert("e") == SymFunc.basis_element("e", ())
 
 
 def test_the_coloring_route_is_multiplicative_in_e():

@@ -4,12 +4,13 @@ import sys
 
 import pytest
 
+from lltpaths.cli import main
 from lltpaths.errors import BoundExceeded, InvalidArgument
 from lltpaths.harmonics import hall_littlewood, nabla_e, nabla_p, survey_e_coefficients
 from lltpaths.llt import chromatic, coloring_weight_split, content_coefficient, llt, orientation_e_expansion
 from lltpaths.partitions import DEGREE_BOUND, check_size, compositions, partitions_of, weak_compositions
 from lltpaths.relations import SUITES, all_suites, dyck_path_graph_formula, recursion_evaluate
-from lltpaths.schroeder import enumerate_paths, nu_alpha, p_mu, parse
+from lltpaths.schroeder import SIZE_BOUND, enumerate_paths, nu_alpha, p_mu, parse
 from lltpaths.schur import elw_schur, kostka_schur
 
 
@@ -108,3 +109,29 @@ def test_check_size_holds_the_lower_of_bound_and_ceiling():
     for n, bound in ((5, 4), (DEGREE_BOUND + 1, DEGREE_BOUND + 8)):
         with pytest.raises(BoundExceeded, match="exceeds the limit"):
             check_size(n, bound)
+
+
+@pytest.mark.parametrize("bound", [SIZE_BOUND, DEGREE_BOUND])
+def test_hall_littlewood_refuses_at_the_callers_limit_before_any_work(bound):
+    def fail_on_work(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in ("llt", "omega"):
+            raise AssertionError(f"{frame.f_code.co_name} began before the size was refused")
+
+    sys.setprofile(fail_on_work)
+    try:
+        with pytest.raises(BoundExceeded, match=f"size 13 exceeds the limit {bound}$"):
+            hall_littlewood((13,), bound)
+    finally:
+        sys.setprofile(None)
+
+
+@pytest.mark.parametrize("mu", [(13, 0), (1, 13), (12, 1.0)])
+def test_hall_littlewood_refuses_a_malformed_partition_of_any_size_as_malformed(mu):
+    with pytest.raises(InvalidArgument):
+        hall_littlewood(mu)
+
+
+@pytest.mark.parametrize("argv, limit", [(["hl", "13"], SIZE_BOUND), (["hl", "13", "--unsafe-max-n", "12"], DEGREE_BOUND)])
+def test_hl_refuses_at_the_requested_limit(capsys, argv, limit):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: size 13 exceeds the limit {limit}\n"
