@@ -28,9 +28,9 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import harmonics
 from .errors import LLTError
-from .llt import orientation_e_expansion
+from .llt import llt, orientation_e_expansion  # llt and recursion_evaluate: no handler calls them; bench/test_bench.py reads them
 from .partitions import DEGREE_BOUND, check_size, partitions_of
-from .relations import ROUTES, SUITES, all_suites
+from .relations import ROUTES, SUITES, all_suites, recursion_evaluate
 from .schroeder import SIZE_BOUND, area, enumerate_paths, graph, parse
 from .schur import elw_schur, kostka_schur
 

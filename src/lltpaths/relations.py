@@ -41,14 +41,14 @@ discrepancy to e and records it.  So failure records do not depend on the
 packing.  The chromatic suite's products and initial condition are
 counted and recorded by the same ``_Suite.record``.
 
-The default routes' packed values are kept in ``_PACKED_VALUES``, keyed
-by (route, word) and filled through ``ROUTES`` with the suite's bound;
-every suite of a sweep reads them there.  ``llt`` keeps no value of its
-own, so that int is the one copy of a default value.  An injected ``llt_fn`` packs into a table local to the call.  The
-values a call forms exactly (a failing or unpackable instance, the
-chromatic suite's products and initial condition), and every value of an
-injected route, are kept in a dict local to the call (``_Suite.value``),
-so a route runs once per word of a call.
+The default routes' packed values live in ``_PACKED_VALUES``, keyed by
+(route, word) and filled through ``ROUTES`` with the suite's bound;
+every suite of a sweep reads them.  ``llt`` keeps no value of its own,
+so that int is a default value's one copy.  An injected ``llt_fn`` packs
+into a call-local table.  The values a call forms exactly (a failing or
+unpackable instance, the chromatic suite's products and initial
+condition), and an injected route's values, are kept in a call-local
+dict (``_Suite.value``), so a route runs once per word of a call.
 
 The bounce relations of D'Adderio and Carlsson-Mellit act at a point
 whose bounce decomposition is U s1 s2 V de W.  Their suites are rows of
