@@ -73,22 +73,29 @@ diagonal returns, the unicellular relation, and the generalized bounce
 relations, following a triple induction on (size, number of east steps,
 x + z of the first east step).
 
-Its memo holds each value F(word) in two forms.  The packed form maps each
-partition lam to the e_lam coefficient at q = 2**_WIDTH, with balanced
-(signed) digits.  The unicellular and bounce rules are linear with
-coefficients q - 1, q and 1, so on packed values they are int operations
-per partition: (v << _WIDTH) - v, v << _WIDTH and +.  The other form is
-the SymFunc that ``recursion_evaluate`` returns.  A memo hit returns it as
-stored, and multiplicativity multiplies two of them with ``SymFunc.__mul__``
-and packs the product.  Every new entry, a product or a value that a linear
-rule builds, is decoded when it is stored, through the evaluator's own
-intern table ``_RECURSION_COEFFS``, keyed by the packed int: equal
-coefficients, which most of the memo's are, are one int and one CoeffQT.
-Both forms are kept because each alone costs more: a packed-only memo
-unpacks on every hit, and a SymFunc-only memo repeats per-term CoeffQT
-arithmetic in every rule.  Interning keeps the pair cheap, since the two
-forms of an entry hold only references to the table's objects.  No other
-module reads the table, and ``clear_caches`` empties it with the memo.
+Its memo holds one entry per distinct value, and every word of that value
+points at it: a path and its reverse agree, and the dn bounce rule equates
+two words, so after a sweep of size 8 its 26,232 words share 6,283
+entries.  An entry holds the value in two forms.  The packed form is a
+tuple of ints, one per partition lam of the degree n in
+``partition_slots`` order, zeros included; each int is the e_lam
+coefficient at q = 2**_WIDTH, with balanced (signed) digits.  The
+unicellular and bounce rules are linear with coefficients q - 1, q and 1,
+so on packed values they are int operations slot by slot:
+(v << _WIDTH) - v + w and v << _WIDTH.  The other form is the SymFunc that
+``recursion_evaluate`` returns.  A memo hit returns it as stored, and
+multiplicativity multiplies two of them with ``SymFunc.__mul__`` and packs
+the product in slot order.  The packed form is also the key that finds its
+entry: ``_RECURSION_VALUES`` maps (n, packed) to the entry, and keeps n
+because the partitions of 0 and of 1 are one slot each, so the empty word
+and e_1 both pack to (1,).  A new entry is decoded once, through the
+evaluator's intern table ``_RECURSION_COEFFS``, keyed by the packed int:
+equal coefficients, which most of the memo's are, are one int and one
+CoeffQT, and the SymFunc's keys are the ``partition_slots`` tuples.  Both
+forms are kept because each alone costs more: a packed-only memo unpacks
+on every hit, and a SymFunc-only memo repeats per-term CoeffQT arithmetic
+in every rule.  No other module reads these tables, and ``clear_caches``
+empties them with the memo.
 
 The width holds every stored coefficient.  By the orientation expansion,
 F(q) is the sum over orientations theta of (q-1)^asc(theta)
@@ -112,7 +119,7 @@ from . import memo
 from .coeffring import CoeffQT
 from .errors import InvalidArgument, NonTermination
 from .llt import chromatic, llt, llt_via_orientations
-from .partitions import DEGREE_BOUND, Partition, check_size, compositions, partitions_of
+from .partitions import DEGREE_BOUND, Partition, check_size, compositions, partition_slots, partitions_of
 from .schroeder import (
     SIZE_BOUND,
     BounceData,
@@ -128,12 +135,15 @@ from .symfunc import SymFunc, linear_combination
 
 LltFn = Callable[[SchroederPath], SymFunc]
 
-# The evaluator's memo: path word -> (packed value, SymFunc), see _WIDTH.
-Packed = dict[Partition, int]
+# The evaluator's memo: path word -> (packed value, SymFunc), see _WIDTH.  A
+# packed value of degree n has one int per partition of n, in partition_slots order.
+Packed = tuple[int, ...]
 Entry = tuple[Packed, SymFunc]
 _RECURSION_CACHE: dict[str, Entry] = memo.table("_RECURSION_CACHE")
+# (n, packed value) -> its entry: one entry per distinct value, shared by its words.
+_RECURSION_VALUES: dict[tuple[int, Packed], Entry] = memo.table("_RECURSION_VALUES")
 # packed int -> (that int, its CoeffQT): one of each per distinct coefficient
-# of the memo, so entries of equal value share them, see _unpacked.
+# of the memo, so entries share them, see _entry.
 _RECURSION_COEFFS: dict[int, tuple[int, CoeffQT]] = memo.table("_RECURSION_COEFFS")
 # Digit width of the packed values: every coefficient the evaluator stores
 # is at most 3^C(DEGREE_BOUND, 2) in absolute value (see the module
@@ -532,20 +542,26 @@ def recursion_evaluate(path: SchroederPath | str, bound: int = SIZE_BOUND) -> Sy
     Uses only the initial condition F(n d^k e) = e_{k+1}, multiplicativity
     at returns to the diagonal, the unicellular relation to strip a
     leading ne, and the generalized bounce relations when the first east
-    step is preceded by a diagonal step.  Memoized on path words: each
-    entry holds the value packed at q = 2**_WIDTH, which the linear rules
-    combine, and the `SymFunc` returned here, which products multiply and
-    a repeated call returns as it is.  Both forms share their ints and
-    coefficients with every entry of equal value, through the evaluator's
-    intern table (`_RECURSION_COEFFS`); they are never changed in place.
-    `check_size` refuses a size above `bound`, or above `DEGREE_BOUND` (the
-    largest size `_WIDTH` holds), before any work.  The evaluator recurses
-    within the interpreter's default recursion limit (a cold size-12 path
-    goes 68 levels deep) and leaves that limit alone; a rule cycle raises
-    NonTermination at depth 200, before the interpreter's limit is reached.
+    step is preceded by a diagonal step.  Memoized on path words, with one
+    entry per distinct value (`_RECURSION_VALUES`), so every path of equal
+    value returns the same object: it holds the value packed at q =
+    2**_WIDTH, one int per partition in `partition_slots` order, which the
+    linear rules combine, and the `SymFunc` returned here, which products
+    multiply and a repeated call returns as it is.  Entries share their ints
+    and coefficients through the evaluator's intern table
+    (`_RECURSION_COEFFS`); they are never changed in place.  A `path` that
+    is neither a `SchroederPath` nor a str is refused with InvalidArgument,
+    and `check_size` refuses a size above `bound`, or above `DEGREE_BOUND`
+    (the largest size `_WIDTH` holds), both before any work.  The evaluator
+    recurses within the interpreter's default recursion limit (a cold
+    size-12 path goes 68 levels deep) and leaves that limit alone; a rule
+    cycle raises NonTermination at depth 200, before the interpreter's limit
+    is reached.
     """
     if isinstance(path, str):
         path = parse(path)
+    elif not isinstance(path, SchroederPath):
+        raise InvalidArgument(f"recursion_evaluate needs a SchroederPath or a path word, got {path!r}")
     check_size(path.size, bound)
     entry = _RECURSION_CACHE.get(path.word)  # a hit is this one lookup
     if entry is None:
@@ -574,55 +590,58 @@ def _evaluate(word: str, depth: int) -> Entry:
     return out
 
 
-def _unpacked(packed: Packed) -> Entry:
-    """The entry of a packed value: its interned ints and their interned CoeffQTs, in e."""
-    ints: Packed = {}
-    coeffs: dict[Partition, CoeffQT] = {}
-    for lam, v in packed.items():
-        hit = _RECURSION_COEFFS.get(v)
-        if hit is None:
-            hit = _RECURSION_COEFFS[v] = (v, CoeffQT.from_packed(v, _WIDTH, True))
-        ints[lam], coeffs[lam] = hit
-    return ints, SymFunc.from_canonical("e", coeffs)
+def _entry(n: int, packed: Packed) -> Entry:
+    """The one entry of a packed value of degree n, in e; a new one is built from interned ints and CoeffQTs."""
+    entry = _RECURSION_VALUES.get((n, packed))
+    if entry is None:
+        ints = []
+        coeffs: dict[Partition, CoeffQT] = {}
+        for lam, v in zip(partition_slots(n)[0], packed):
+            if v:
+                hit = _RECURSION_COEFFS.get(v)
+                if hit is None:
+                    hit = _RECURSION_COEFFS[v] = (v, CoeffQT.from_packed(v, _WIDTH, True))
+                v, coeffs[lam] = hit
+            ints.append(v)
+        packed = tuple(ints)
+        entry = _RECURSION_VALUES[(n, packed)] = (packed, SymFunc.from_canonical("e", coeffs))
+    return entry
 
 
 def _times_q(f: Packed) -> Packed:
     """q f."""
-    return {lam: v << _WIDTH for lam, v in f.items()}
+    return tuple(v << _WIDTH for v in f)
 
 
-def _q_minus_1_times_plus(f: Packed, g: Packed) -> Entry:
-    """The entry of (q-1) f + g."""
-    out = {lam: (v << _WIDTH) - v for lam, v in f.items()}
-    for lam, v in g.items():
-        s = out.get(lam, 0) + v
-        if s:
-            out[lam] = s
-        else:
-            del out[lam]
-    return _unpacked(out)
+def _q_minus_1_times_plus(n: int, f: Packed, g: Packed) -> Entry:
+    """The entry of (q-1) f + g, both of degree n."""
+    return _entry(n, tuple((v << _WIDTH) - v + w for v, w in zip(f, g)))
 
 
 def _evaluate_uncached(word: str, depth: int) -> Entry:
+    n = len(word) - word.count("e")  # the size: one n or d step per row
     if not word:
-        return _unpacked({(): 1})
+        return _entry(0, (1,))
     first_e = word.index("e")  # every nonempty path has an east step
     prefix = word[:first_e]
-    # initial condition F(n d^k e) = e_{k+1}
+    # initial condition F(n d^k e) = e_{k+1}: e_n takes the last slot
     if first_e == len(word) - 1 and prefix == "n" + "d" * (first_e - 1):
-        return _unpacked({(first_e,): 1})
+        return _entry(n, (0,) * (len(partition_slots(n)[0]) - 1) + (1,))
     x = prefix.count("d")
     z = prefix.count("n") + prefix.count("d")
     if z == x + 1:
         # the first east step returns to the diagonal: split multiplicatively
         left = _evaluate(word[: first_e + 1], depth + 1)[1]
         right = _evaluate(word[first_e + 1 :], depth + 1)[1]
-        product = left * right
-        return _unpacked({lam: sum(v << _WIDTH * eq for (eq, _), v in c.terms.items()) for lam, c in product.coeffs.items()})
+        coeffs = (left * right).coeffs
+        return _entry(n, tuple(
+            sum(v << _WIDTH * eq for (eq, _), v in coeffs[lam].terms.items()) if lam in coeffs else 0
+            for lam in partition_slots(n)[0]
+        ))
     if prefix[-1] == "n":
         # unicellular relation: F(Y n e W) = (q-1) F(Y d W) + F(Y e n W)
         y, w = word[: first_e - 1], word[first_e + 1 :]
-        return _q_minus_1_times_plus(_evaluate(y + "d" + w, depth + 1)[0], _evaluate(y + "en" + w, depth + 1)[0])
+        return _q_minus_1_times_plus(n, _evaluate(y + "d" + w, depth + 1)[0], _evaluate(y + "en" + w, depth + 1)[0])
     # first east step preceded by d: apply the bounce relation at (x, z)
     data = bounce_at(parse(word), (x, z))
     assert data.decomposition is not None
@@ -630,10 +649,10 @@ def _evaluate_uncached(word: str, depth: int) -> Entry:
     assert s34 == "de" and "e" not in v and s12 in ("nn", "nd", "dn"), (word, data)
     if s12 == "nn":
         # F(U nn V de W) = q F(U nn V ed W)
-        return _unpacked(_times_q(_evaluate(u + "nn" + v + "ed" + w, depth + 1)[0]))
+        return _entry(n, _times_q(_evaluate(u + "nn" + v + "ed" + w, depth + 1)[0]))
     if s12 == "dn":
         # F(U dn V de W) = F(U nd V ed W): the same entry
         return _evaluate(u + "nd" + v + "ed" + w, depth + 1)
     # F(U nd V de W) = (q-1) F(U nd V ed W) + q F(U dn V ed W)
     f = _evaluate(u + "nd" + v + "ed" + w, depth + 1)[0]
-    return _q_minus_1_times_plus(f, _times_q(_evaluate(u + "dn" + v + "ed" + w, depth + 1)[0]))
+    return _q_minus_1_times_plus(n, f, _times_q(_evaluate(u + "dn" + v + "ed" + w, depth + 1)[0]))

@@ -5,14 +5,15 @@ from lltpaths import cli, memo, relations
 from lltpaths.coeffring import CoeffQT
 from lltpaths.harmonics import nabla_e, nabla_p, survey_e_coefficients
 from lltpaths.llt import chromatic, llt, orientation_e_expansion
+from lltpaths.partitions import partition_slots
 from lltpaths.relations import recursion_evaluate, verify_bounce_A, verify_chromatic_relations
-from lltpaths.schroeder import enumerate_paths
+from lltpaths.schroeder import enumerate_paths, reverse
 from lltpaths.symfunc import SymFunc
 
 # every module-level table, by module
 TABLES = {
     "llt": ("_WINDOW_MOVES", "_WINDOW_STATES", "_SHAPE_VALUES", "_LAYOUTS"),
-    "relations": ("_RECURSION_CACHE", "_RECURSION_COEFFS", "_PACKED_VALUES", "_BOUNCE_WALKS"),
+    "relations": ("_RECURSION_CACHE", "_RECURSION_VALUES", "_RECURSION_COEFFS", "_PACKED_VALUES", "_BOUNCE_WALKS"),
     "symfunc": ("_M_MUL_CACHE", "_TRANSITION_CACHE"),
     "partitions": ("_PARTITIONS_CACHE", "_SLOTS_CACHE", "_KOSTKA_CACHE"),
 }
@@ -64,12 +65,34 @@ def test_memo_coefficients_are_shared_objects():
     _assert_one_object_per_value(c for _, f in entries for c in f.coeffs.values())
     interned = relations._RECURSION_COEFFS
     for packed, f in entries:
-        assert packed.keys() == f.coeffs.keys()
-        for lam, v in packed.items():
+        slots = partition_slots(sum(next(iter(f.coeffs))))[0]
+        assert len(packed) == len(slots)
+        nonzero = [(lam, v) for lam, v in zip(slots, packed) if v]
+        # the SymFunc holds the nonzero slots, keyed by the slot order's own tuples
+        assert len(nonzero) == len(f.coeffs) and all(lam is key for (lam, _), key in zip(nonzero, f.coeffs))
+        for lam, v in nonzero:
             assert f.coeffs[lam] == CoeffQT.from_packed(v, relations._WIDTH, signed=True)
             interned_int, interned_coeff = interned[v]
             assert interned_int is v and interned_coeff is f.coeffs[lam]
     assert len(interned) <= sum(len(packed) for packed, _ in entries)
+
+
+def test_memo_keeps_one_entry_per_distinct_value():
+    lltpaths.clear_caches()
+    for p in enumerate_paths(7):
+        recursion_evaluate(p)
+    words = relations._RECURSION_CACHE
+    assert len(words) == 5439
+    assert len({id(entry) for entry in words.values()}) == 1584
+    assert len(relations._RECURSION_VALUES) == 1584
+    assert all(relations._RECURSION_VALUES[(len(w) - w.count("e"), e[0])] is e for w, e in words.items())
+
+
+def test_a_path_and_its_reverse_return_one_object():
+    lltpaths.clear_caches()
+    paths = [p for p in enumerate_paths(6) if reverse(p).word != p.word]
+    assert len(paths) == 840
+    assert all(recursion_evaluate(p) is recursion_evaluate(reverse(p)) for p in paths)
 
 
 def test_sweeps_that_visit_each_path_once_keep_no_value(capsys):

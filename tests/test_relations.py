@@ -333,6 +333,16 @@ def test_recursion_evaluate_refuses_a_size_above_the_degree_bound_whatever_the_b
         recursion_evaluate(big, bound=DEGREE_BOUND + 1)
 
 
+@pytest.mark.parametrize("path", [123, None, b"ne", ["n", "e"]])
+def test_recursion_evaluate_refuses_what_is_neither_a_path_nor_a_word(monkeypatch, path):
+    def fail(word, depth):
+        raise AssertionError("the evaluator started")
+
+    monkeypatch.setattr(relations, "_evaluate", fail)
+    with pytest.raises(InvalidArgument):
+        recursion_evaluate(path)
+
+
 def test_packed_width_holds_every_coefficient_up_to_the_degree_bound():
     # |coefficient| <= 3^(non-strict edges) <= 3^C(n, 2) fits a signed digit
     assert 3 ** comb(DEGREE_BOUND, 2) < 2 ** (relations._WIDTH - 1)
