@@ -13,7 +13,7 @@ from lltpaths.symfunc import SymFunc
 # every module-level table, by module
 TABLES = {
     "llt": ("_WINDOW_MOVES", "_WINDOW_STATES", "_SHAPE_VALUES", "_LAYOUTS"),
-    "relations": ("_RECURSION_CACHE", "_RECURSION_VALUES", "_RECURSION_COEFFS", "_PACKED_VALUES", "_BOUNCE_WALKS"),
+    "relations": ("_RECURSION_CACHE", "_RECURSION_VALUES", "_RECURSION_COEFFS", "_RECURSION_PRODUCTS", "_PACKED_VALUES", "_BOUNCE_WALKS"),
     "symfunc": ("_M_MUL_CACHE", "_TRANSITION_CACHE"),
     "partitions": ("_PARTITIONS_CACHE", "_SLOTS_CACHE", "_KOSTKA_CACHE"),
 }
@@ -86,6 +86,31 @@ def test_memo_keeps_one_entry_per_distinct_value():
     assert len({id(entry) for entry in words.values()}) == 1584
     assert len(relations._RECURSION_VALUES) == 1584
     assert all(relations._RECURSION_VALUES[(len(w) - w.count("e"), e[0])] is e for w, e in words.items())
+
+
+def test_each_pair_of_operand_entries_is_multiplied_once(monkeypatch):
+    calls = []
+    mul = SymFunc.__mul__
+
+    def counted(f, g):
+        calls.append((f, g))
+        return mul(f, g)
+
+    monkeypatch.setattr(SymFunc, "__mul__", counted)
+    lltpaths.clear_caches()
+    for p in enumerate_paths(7):
+        recursion_evaluate(p)
+    # 1,497 words split multiplicatively, over 605 distinct pairs of entries
+    assert len(calls) == 605
+    table = relations._RECURSION_PRODUCTS
+    assert len(table) == 605
+    values = relations._RECURSION_VALUES
+    for key, (left, right, product) in table.items():
+        assert key == (id(left), id(right))
+        for entry in (left, right, product):
+            packed, f = entry
+            degree = sum(next(iter(f.coeffs)))  # every value is nonzero and homogeneous
+            assert values[(degree, packed)] is entry
 
 
 def test_a_path_and_its_reverse_return_one_object():
